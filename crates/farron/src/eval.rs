@@ -121,6 +121,29 @@ impl EvalCtx {
             unit_cache: ProfileCache::shared(),
         }
     }
+
+    /// Profiles, key-parallel on `threads` workers, every unit profile the
+    /// rows `names` read: the whole suite on each row's core count. The
+    /// baseline plan runs every testcase on every core; the reference
+    /// study and the Farron plan read subsets of the same keys. Both run
+    /// configurations key identically ([`burn_in_exec`] changes only knobs
+    /// outside [`toolchain::ProfileKey`]).
+    fn prefetch(&self, names: &[&str], threads: usize) {
+        let keys = names.iter().flat_map(|name| {
+            let cores = catalog::by_name(name)
+                .expect("catalog name")
+                .processor
+                .physical_cores as usize;
+            self.suite.testcases().iter().map(move |t| (t.id, cores))
+        });
+        fleet::parallel::prefetch_profiles(
+            &self.suite,
+            keys,
+            &burn_in_exec(),
+            &self.unit_cache,
+            threads,
+        );
+    }
 }
 
 /// How the regular rounds of one evaluation row execute.
@@ -323,6 +346,7 @@ fn eval_row(
 /// result-transparent, so the rows are identical for every thread count.
 pub fn evaluate(cfg: &EvalConfig) -> Vec<EvalRow> {
     let ctx = EvalCtx::fresh();
+    ctx.prefetch(&EVAL_NAMES, cfg.threads);
     fleet::parallel::run_indexed(&EVAL_NAMES, cfg.threads, |_, &name| {
         eval_row(cfg, name, RoundMode::Plain, &ctx).0
     })
@@ -343,6 +367,7 @@ pub fn evaluate_chaos(
     policy: &RetryPolicy,
 ) -> (Vec<EvalRow>, AttritionStats) {
     let ctx = EvalCtx::fresh();
+    ctx.prefetch(&EVAL_NAMES, cfg.threads);
     let rows = fleet::parallel::run_indexed(&EVAL_NAMES, cfg.threads, |_, &name| {
         eval_row(cfg, name, RoundMode::Chaos { plan, policy }, &ctx)
     });
@@ -575,6 +600,18 @@ pub fn evaluate_checkpointed(
     policy: &RetryPolicy,
     store: &CheckpointStore,
 ) -> Result<EvalRun, CheckpointError> {
+    evaluate_checkpointed_in(cfg, plan, policy, store, &EvalCtx::fresh())
+}
+
+/// [`evaluate_checkpointed`] on a given context; only the rows the
+/// snapshot does not hold are profiled.
+fn evaluate_checkpointed_in(
+    cfg: &EvalConfig,
+    plan: &FaultPlan,
+    policy: &RetryPolicy,
+    store: &CheckpointStore,
+    ctx: &EvalCtx,
+) -> Result<EvalRun, CheckpointError> {
     let fingerprint = eval_fingerprint(cfg, plan);
     let prior = if store.path().exists() {
         EvalCheckpoint::load(store.path(), &fingerprint)?
@@ -598,7 +635,12 @@ pub fn evaluate_checkpointed(
         error: None,
     });
     let killed = AtomicBool::new(false);
-    let ctx = EvalCtx::fresh();
+    let todo: Vec<&str> = EVAL_NAMES
+        .iter()
+        .copied()
+        .filter(|name| !done.contains_key(*name))
+        .collect();
+    ctx.prefetch(&todo, cfg.threads);
 
     let records = fleet::parallel::run_indexed(&EVAL_NAMES, cfg.threads, |_, &name| {
         if let Some(record) = done.get(name) {
@@ -607,7 +649,7 @@ pub fn evaluate_checkpointed(
         if killed.load(Ordering::SeqCst) {
             return None;
         }
-        let (row, attrition) = eval_row(cfg, name, RoundMode::Chaos { plan, policy }, &ctx);
+        let (row, attrition) = eval_row(cfg, name, RoundMode::Chaos { plan, policy }, ctx);
         let record = EvalRowRecord::of(&row, &attrition);
         let mut sink = sink.lock().expect("eval checkpoint sink");
         sink.snapshot.rows.push(record.clone());
@@ -751,6 +793,55 @@ mod tests {
         for row in &rows {
             assert!((0.0..=1.0).contains(&row.farron_coverage), "{}", row.name);
         }
+    }
+
+    #[test]
+    fn burn_in_and_default_runs_share_profile_keys() {
+        let suite = Suite::standard();
+        for tc in suite.testcases() {
+            assert_eq!(
+                toolchain::ProfileKey::of(tc.id, 24, &burn_in_exec()),
+                toolchain::ProfileKey::of(tc.id, 24, &ExecConfig::default()),
+            );
+        }
+    }
+
+    #[test]
+    fn resuming_a_complete_snapshot_profiles_nothing() {
+        let cfg = tiny_cfg();
+        let path = std::env::temp_dir().join("sdc-eval-ck-complete.json");
+        let mut snapshot = EvalCheckpoint::empty(eval_fingerprint(&cfg, &storm()));
+        for (i, name) in EVAL_NAMES.iter().enumerate() {
+            snapshot.rows.push(EvalRowRecord::of(
+                &EvalRow {
+                    name,
+                    known_errors: i,
+                    farron_coverage: 1.0,
+                    baseline_coverage: 0.5,
+                    farron_round_hours: 1.0,
+                    baseline_round_hours: 10.0,
+                    farron_test_overhead: 0.0,
+                    farron_control_overhead: 0.0,
+                    baseline_test_overhead: 0.0,
+                    backoff_secs_per_hour: 0.0,
+                    protected_sdc_events: 0,
+                },
+                &AttritionStats::default(),
+            ));
+        }
+        let store = CheckpointStore::new(path.clone(), 1);
+        store.write_value(&snapshot).unwrap();
+
+        let ctx = EvalCtx::fresh();
+        let run = evaluate_checkpointed_in(&cfg, &storm(), &RetryPolicy::default(), &store, &ctx)
+            .unwrap();
+        let EvalRun::Completed { rows, .. } = run else {
+            panic!("resume run has no kill hook");
+        };
+        let known: Vec<usize> = rows.iter().map(|r| r.known_errors).collect();
+        assert_eq!(known, (0..EVAL_NAMES.len()).collect::<Vec<_>>());
+        assert_eq!(ctx.unit_cache.stats().misses, 0);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! order. [`run_indexed`] shards such a list across `std::thread::scope`
 //! workers pulling chunks off a shared atomic cursor, then reassembles
 //! results in item order — so the output is bitwise identical for any
-//! thread count, including the serial path.
+//! thread count, including the serial path. [`prefetch_profiles`] makes
+//! the unit-profile key, not the item, the unit of parallel work for the
+//! cold profiling that precedes those loops.
 
+use sdc_model::TestcaseId;
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use toolchain::{ExecConfig, ProfileCache, Suite};
 
 /// Resolves a `threads` knob: `0` means one worker per available CPU,
 /// anything else is taken literally.
@@ -74,6 +79,37 @@ where
     debug_assert_eq!(pairs.len(), items.len());
     pairs.sort_unstable_by_key(|&(i, _)| i);
     pairs.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Profiles every distinct `(testcase, core count)` key of `keys` into
+/// `cache` under `cfg`, on `threads` workers (`0` = available
+/// parallelism).
+///
+/// Drivers call this before their per-item loops, which then only hit
+/// the cache. Sharding by item instead would let workers whose items
+/// share keys wait on each other's profiles. Keys run costliest first:
+/// a multi-thread testcase runs on every core, so its profile costs time
+/// linear in the core count; then more cores first. A key whose
+/// profile fails is skipped — failures are not cached, so the per-item
+/// read reports the error where it would without the prefetch. Profiles
+/// are pure functions of their key, so no result depends on whether, or
+/// in which order, keys were prefetched.
+pub fn prefetch_profiles(
+    suite: &Suite,
+    keys: impl IntoIterator<Item = (TestcaseId, usize)>,
+    cfg: &ExecConfig,
+    cache: &ProfileCache,
+    threads: usize,
+) {
+    let mut keys: Vec<(TestcaseId, usize)> = keys.into_iter().collect();
+    keys.sort_unstable_by_key(|&(id, cores)| {
+        (Reverse(suite.get(id).threads > 1), Reverse(cores), id)
+    });
+    keys.dedup();
+    run_indexed(&keys, threads, |_, &(id, cores)| {
+        // Only the cache entry is wanted; an error resurfaces at the read.
+        let _ = cache.profile(suite.get(id), cores, cfg);
+    });
 }
 
 #[cfg(test)]

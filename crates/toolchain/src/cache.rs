@@ -11,23 +11,28 @@
 //! derived purely from the key so cached and uncached runs are bitwise
 //! identical.
 
-use crate::executor::{CoreProfile, ExecConfig};
-use crate::profile::Profiler;
+use crate::error::ExecError;
+use crate::executor::{compute_unit_profile, CoreProfile, ExecConfig};
+use crate::profile::SiteSamples;
+use crate::testcase::Testcase;
 use sdc_model::{DetRng, TestcaseId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Everything [`crate::Executor::run`] needs from the unit profiling run.
+/// Everything [`crate::Executor::run`] needs from the unit profiling run:
+/// the condensed per-core profiles and the profiler's reservoir samples.
+/// The profiler's per-core retire counts are not kept — they are
+/// condensed into the site rates, and at 64 cores they would hold about
+/// 135 KB per profile.
 #[derive(Debug)]
 pub struct CachedUnitProfile {
     /// Per-machine-core profiles (site rates, power, event rates).
     pub(crate) profiles: Vec<CoreProfile>,
     /// Unit wall time in seconds.
     pub(crate) unit_secs: f64,
-    /// The profiler, whose bit samples feed record materialization
-    /// (read-only after the unit run).
-    pub(crate) profiler: Profiler,
+    /// Sampled result bits per site, which feed record materialization.
+    pub(crate) samples: SiteSamples,
 }
 
 impl CachedUnitProfile {
@@ -102,12 +107,19 @@ impl CacheStats {
     }
 }
 
-type Slot = Arc<OnceLock<Arc<CachedUnitProfile>>>;
+/// A computation in flight or done; only successes stay in the map.
+type Slot = Arc<OnceLock<Result<Arc<CachedUnitProfile>, ExecError>>>;
+
+struct Entry {
+    slot: Slot,
+    /// Value of [`Inner::clock`] at the entry's latest lookup.
+    last_use: u64,
+}
 
 struct Inner {
-    map: HashMap<ProfileKey, Slot>,
-    /// Recency list, oldest first; small cardinality (≤ capacity).
-    order: Vec<ProfileKey>,
+    map: HashMap<ProfileKey, Entry>,
+    /// Lookup counter stamping recency.
+    clock: u64,
 }
 
 /// Shared, thread-safe unit-profile memoization with LRU eviction.
@@ -116,7 +128,8 @@ struct Inner {
 /// bookkeeping; the (expensive) profile computation runs outside the lock
 /// inside a per-key `OnceLock`, so two threads asking for the *same* key
 /// compute it once (the second blocks), while different keys compute in
-/// parallel.
+/// parallel. A hit only restamps its entry; the least recently used
+/// entry is looked for only when a miss finds the cache full.
 pub struct ProfileCache {
     capacity: usize,
     hits: AtomicU64,
@@ -137,7 +150,8 @@ impl std::fmt::Debug for ProfileCache {
 
 impl Default for ProfileCache {
     /// A cache sized for a whole standard suite across several package
-    /// shapes (633 testcases × ~12 core counts).
+    /// shapes (633 testcases × 12 core counts fit; the full deep study
+    /// reads 1,922 keys).
     fn default() -> Self {
         ProfileCache::with_capacity(8192)
     }
@@ -158,7 +172,7 @@ impl ProfileCache {
             evictions: AtomicU64::new(0),
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                order: Vec::new(),
+                clock: 0,
             }),
         }
     }
@@ -169,37 +183,77 @@ impl ProfileCache {
         Arc::new(ProfileCache::default())
     }
 
+    /// The unit profile of `tc` on a `cores`-core machine under `cfg`,
+    /// computed on first use. Drivers call this ahead of their per-item
+    /// loops to profile keys in parallel; executors call it on every run.
+    ///
+    /// Fails with [`ExecError::StepBudget`] when the unit run overruns
+    /// `cfg.max_unit_steps`. Failures are not cached: the next read of
+    /// the key computes (and fails) again.
+    pub fn profile(
+        &self,
+        tc: &Testcase,
+        cores: usize,
+        cfg: &ExecConfig,
+    ) -> Result<Arc<CachedUnitProfile>, ExecError> {
+        let key = ProfileKey::of(tc.id, cores, cfg);
+        self.get_or_try_compute(key, || compute_unit_profile(tc, key, cfg))
+    }
+
     /// Returns the cached profile for `key`, computing it with `compute`
-    /// on first use.
-    pub fn get_or_compute<F>(&self, key: ProfileKey, compute: F) -> Arc<CachedUnitProfile>
+    /// on first use; an error is handed to every caller waiting on the
+    /// computation and the entry is dropped.
+    fn get_or_try_compute<F>(
+        &self,
+        key: ProfileKey,
+        compute: F,
+    ) -> Result<Arc<CachedUnitProfile>, ExecError>
     where
-        F: FnOnce() -> CachedUnitProfile,
+        F: FnOnce() -> Result<CachedUnitProfile, ExecError>,
     {
         let slot: Slot = {
             let mut inner = self.inner.lock().expect("profile cache poisoned");
-            if let Some(slot) = inner.map.get(&key) {
-                let slot = slot.clone();
+            inner.clock += 1;
+            let now = inner.clock;
+            if let Some(entry) = inner.map.get_mut(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                // Refresh recency.
-                if let Some(pos) = inner.order.iter().position(|k| *k == key) {
-                    inner.order.remove(pos);
-                    inner.order.push(key);
-                }
-                slot
+                entry.last_use = now;
+                entry.slot.clone()
             } else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 if inner.map.len() >= self.capacity {
-                    let oldest = inner.order.remove(0);
+                    let oldest = inner
+                        .map
+                        .iter()
+                        .min_by_key(|(_, e)| e.last_use)
+                        .map(|(k, _)| *k)
+                        .expect("a full cache has entries");
                     inner.map.remove(&oldest);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 let slot: Slot = Arc::new(OnceLock::new());
-                inner.map.insert(key, slot.clone());
-                inner.order.push(key);
+                inner.map.insert(
+                    key,
+                    Entry {
+                        slot: slot.clone(),
+                        last_use: now,
+                    },
+                );
                 slot
             }
         };
-        slot.get_or_init(|| Arc::new(compute())).clone()
+        let out = slot.get_or_init(|| compute().map(Arc::new)).clone();
+        if out.is_err() {
+            let mut inner = self.inner.lock().expect("profile cache poisoned");
+            if inner
+                .map
+                .get(&key)
+                .is_some_and(|e| Arc::ptr_eq(&e.slot, &slot))
+            {
+                inner.map.remove(&key);
+            }
+        }
+        out
     }
 
     /// Current counters.
@@ -218,11 +272,22 @@ mod tests {
     use super::*;
     use rand::RngCore as _;
 
+    impl ProfileCache {
+        /// Infallible lookup for tests that never fail a computation.
+        fn get_or_compute<F>(&self, key: ProfileKey, compute: F) -> Arc<CachedUnitProfile>
+        where
+            F: FnOnce() -> CachedUnitProfile,
+        {
+            self.get_or_try_compute(key, || Ok(compute()))
+                .expect("infallible compute")
+        }
+    }
+
     fn dummy_profile(tag: f64) -> CachedUnitProfile {
         CachedUnitProfile {
             profiles: Vec::new(),
             unit_secs: tag,
-            profiler: Profiler::new(DetRng::new(0)),
+            samples: SiteSamples::default(),
         }
     }
 
@@ -272,6 +337,35 @@ mod tests {
             dummy_profile(2.0)
         });
         assert!(recomputed, "2 must have been evicted");
+    }
+
+    #[test]
+    fn unit_run_over_step_budget_is_a_typed_error() {
+        let suite = crate::Suite::standard();
+        let tc = &suite.testcases()[0];
+        let cfg = ExecConfig {
+            max_unit_steps: 10,
+            ..ExecConfig::default()
+        };
+        let overrun = ExecError::StepBudget {
+            testcase: tc.id,
+            budget: 10,
+        };
+        let cache = Arc::new(ProfileCache::with_capacity(8));
+        assert_eq!(cache.profile(tc, 1, &cfg).unwrap_err(), overrun);
+        assert_eq!(cache.stats().entries, 0, "failures are not cached");
+
+        let processor = silicon::Processor::healthy(sdc_model::CpuId(1), sdc_model::ArchId(1), 1.0);
+        let duration = sdc_model::Duration::from_secs(10);
+        for cache in [Some(Arc::clone(&cache)), None] {
+            let mut executor = crate::Executor::new(&processor, cfg);
+            executor.set_cache(cache);
+            let run = executor.try_run(tc, &[0], duration, &mut DetRng::new(1));
+            assert_eq!(run.unwrap_err(), overrun);
+        }
+        // The executor's read computed (and failed) again.
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 0));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::builders;
 use crate::cache::{CachedUnitProfile, ProfileCache, ProfileKey};
 use crate::error::ExecError;
-use crate::profile::Profiler;
+use crate::profile::{Profiler, SiteSamples};
 use crate::testcase::{CheckKind, Invariant, OutputRegion, Testcase};
 use rand::RngCore as _;
 use sdc_model::{CoreId, DataType, DetRng, Duration, SdcRecord, SdcType, SettingId, VirtualClock};
@@ -275,7 +275,7 @@ fn step_temps(temps: &mut [f64], targets: &[f64], alpha: f64) -> bool {
 fn materialize_computation(
     sites: &CompSites,
     defect: &Defect,
-    sampler_samples: &Profiler,
+    sampler_samples: &SiteSamples,
     setting: SettingId,
     temp: f64,
     at: Duration,
@@ -287,7 +287,7 @@ fn materialize_computation(
     let materialize = (k as usize).min(max_records.saturating_sub(records.len()));
     for _ in 0..materialize {
         let (class, dt_) = sites.keys[rng.weighted(&sites.weights)];
-        let samples = sampler_samples.samples(class, dt_);
+        let samples = sampler_samples.get(class, dt_);
         let expected = if samples.is_empty() {
             0
         } else {
@@ -405,7 +405,8 @@ impl<'p> Executor<'p> {
     /// Fails with [`ExecError::ProfileRead`] when the installed fault
     /// hook fires for this read; nothing is cached in that case, so a
     /// retry re-reads (and, absent another fault, succeeds with the
-    /// identical profile).
+    /// identical profile). Fails with [`ExecError::StepBudget`] when the
+    /// unit run overruns `max_unit_steps`.
     fn try_profile_unit(
         &mut self,
         tc: &Testcase,
@@ -422,10 +423,10 @@ impl<'p> Executor<'p> {
                 });
             }
         }
-        Ok(match &self.cache {
-            Some(cache) => cache.get_or_compute(key, || compute_unit_profile(tc, key, &self.cfg)),
-            None => Arc::new(compute_unit_profile(tc, key, &self.cfg)),
-        })
+        match &self.cache {
+            Some(cache) => cache.profile(tc, key.cores, &self.cfg),
+            None => compute_unit_profile(tc, key, &self.cfg).map(Arc::new),
+        }
     }
 
     /// Validates the core selection shared by both run modes.
@@ -453,8 +454,9 @@ impl<'p> Executor<'p> {
     /// # Panics
     ///
     /// Panics if the core selection violates [`Executor::try_run`]'s
-    /// invariants or an installed profile-fault hook fires — infallible
-    /// callers (studies, figures) never install one.
+    /// invariants, the unit run overruns its step budget, or an
+    /// installed profile-fault hook fires — infallible callers (studies,
+    /// figures) never install one.
     pub fn run(
         &mut self,
         tc: &Testcase,
@@ -505,7 +507,7 @@ impl<'p> Executor<'p> {
         self.check_cores(tc, cores)?;
         let unit = self.try_profile_unit(tc, cores)?;
         let profiles = &unit.profiles;
-        let sampler_samples = &unit.profiler;
+        let sampler_samples = &unit.samples;
         let processor = self.processor;
 
         if let Some(t) = self.cfg.preheat_c {
@@ -895,7 +897,7 @@ impl<'p> Executor<'p> {
         self.check_cores(tc, cores)?;
         let unit = self.try_profile_unit(tc, cores)?;
         let profiles = &unit.profiles;
-        let sampler_samples = &unit.profiler;
+        let sampler_samples = &unit.samples;
 
         if let Some(t) = self.cfg.preheat_c {
             self.thermal.preheat(t);
@@ -995,7 +997,7 @@ impl<'p> Executor<'p> {
                                 .min(self.cfg.max_records.saturating_sub(records.len()));
                             for _ in 0..materialize {
                                 let (class, dt_) = sites.keys[rng.weighted(&sites.weights)];
-                                let samples = sampler_samples.samples(class, dt_);
+                                let samples = sampler_samples.get(class, dt_);
                                 let expected = if samples.is_empty() {
                                     0
                                 } else {
@@ -1276,8 +1278,13 @@ impl<'p> Executor<'p> {
 /// Runs one unit of `tc` in the VM under a profiler and condenses the
 /// result into a [`CachedUnitProfile`]. All randomness comes from
 /// [`ProfileKey::stream`], making the result a pure function of
-/// `(tc, key, cfg)`.
-fn compute_unit_profile(tc: &Testcase, key: ProfileKey, cfg: &ExecConfig) -> CachedUnitProfile {
+/// `(tc, key, cfg)`. A unit run that overruns `cfg.max_unit_steps` fails
+/// with [`ExecError::StepBudget`].
+pub(crate) fn compute_unit_profile(
+    tc: &Testcase,
+    key: ProfileKey,
+    cfg: &ExecConfig,
+) -> Result<CachedUnitProfile, ExecError> {
     let mut rng = key.stream();
     let built = builders::build(tc, key.cores, cfg.unit_iters, rng.next_u64());
     let mut machine = Machine::new(key.cores, built.mem_bytes);
@@ -1294,11 +1301,12 @@ fn compute_unit_profile(tc: &Testcase, key: ProfileKey, cfg: &ExecConfig) -> Cac
     let mut profiler = Profiler::new(rng.fork(0x9821));
     let mut interleave = rng.fork(0x77aa);
     let out = machine.run(&mut profiler, &mut interleave, cfg.max_unit_steps);
-    assert!(
-        out.completed,
-        "unit run of {} exceeded the step budget",
-        tc.name
-    );
+    if !out.completed {
+        return Err(ExecError::StepBudget {
+            testcase: tc.id,
+            budget: cfg.max_unit_steps,
+        });
+    }
     let unit_secs = (out.cycles.max(1)) as f64 / cfg.clock_hz;
     let mut profiles = vec![CoreProfile::default(); key.cores];
     for ((core, class, dt), count) in profiler.counts() {
@@ -1324,11 +1332,11 @@ fn compute_unit_profile(tc: &Testcase, key: ProfileKey, cfg: &ExecConfig) -> Cac
             0.0
         };
     }
-    CachedUnitProfile {
+    Ok(CachedUnitProfile {
         profiles,
         unit_secs,
-        profiler,
-    }
+        samples: profiler.into_samples(),
+    })
 }
 
 /// Reads one element of an output region from flushed machine memory.

@@ -73,6 +73,21 @@ impl Profiler {
         &self.samples[class.site_index(dt)]
     }
 
+    /// The reservoir samples alone, for keeping after the unit run: the
+    /// per-core count arrays are condensed into site rates first and
+    /// would otherwise stay resident at `NUM_SITES` words per core.
+    pub(crate) fn into_samples(self) -> SiteSamples {
+        SiteSamples {
+            sites: self
+                .samples
+                .into_iter()
+                .enumerate()
+                .filter(|(_, bits)| !bits.is_empty())
+                .map(|(site, bits)| (site, bits.into_boxed_slice()))
+                .collect(),
+        }
+    }
+
     /// Distinct (class, dt) pairs observed, ascending (flat site order is
     /// `(InstClass, DataType)` `Ord` order).
     pub fn site_kinds(&self) -> Vec<(InstClass, DataType)> {
@@ -82,6 +97,25 @@ impl Profiler {
             .filter(|&(_, &n)| n > 0)
             .map(|(site, _)| site_of(site))
             .collect()
+    }
+}
+
+/// Reservoir-sampled result bits of a finished unit run, for the sites
+/// it observed only.
+#[derive(Debug, Default)]
+pub(crate) struct SiteSamples {
+    /// `(flat site index, samples)`, ascending by site.
+    sites: Vec<(usize, Box<[u128]>)>,
+}
+
+impl SiteSamples {
+    /// Sampled result bits for (class, dt); empty if never retired.
+    pub(crate) fn get(&self, class: InstClass, dt: DataType) -> &[u128] {
+        let site = class.site_index(dt);
+        match self.sites.binary_search_by_key(&site, |&(s, _)| s) {
+            Ok(i) => &self.sites[i].1,
+            Err(_) => &[],
+        }
     }
 }
 
@@ -151,6 +185,25 @@ mod tests {
             s.iter().any(|&b| b > 1000),
             "reservoir retains late samples"
         );
+    }
+
+    #[test]
+    fn into_samples_keeps_every_reservoir() {
+        let mut p = Profiler::new(DetRng::new(5));
+        for i in 0..200u128 {
+            p.corrupt(&info(
+                (i % 3) as usize,
+                InstClass::IntArith,
+                DataType::I32,
+                i,
+            ));
+        }
+        p.corrupt(&info(0, InstClass::Crc, DataType::Bin32, 7));
+        let int = p.samples(InstClass::IntArith, DataType::I32).to_vec();
+        let samples = p.into_samples();
+        assert_eq!(samples.get(InstClass::IntArith, DataType::I32), &int[..]);
+        assert_eq!(samples.get(InstClass::Crc, DataType::Bin32), &[7]);
+        assert!(samples.get(InstClass::VecFma, DataType::F32).is_empty());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification (see ROADMAP.md): release build, the root test
-# suite, and the parallel-determinism integration tests. Run from
-# anywhere; exits non-zero on the first failure.
+# Tier-1 verification (see ROADMAP.md): release build, the benchmark
+# crate's build, the root test suite, and the parallel-determinism
+# integration tests. Run from anywhere; exits non-zero on the first
+# failure.
 #
 #   --conform   additionally run the quick conformance gate
 #               (`repro conform --quick`, see EXPERIMENTS.md).
@@ -18,6 +19,9 @@ done
 
 echo "== tier-1: release build =="
 cargo build --release
+
+echo "== tier-1: benchmark crate builds against the library API =="
+cargo build --release --manifest-path perfbench/Cargo.toml
 
 echo "== tier-1: root test suite =="
 cargo test -q
