@@ -20,15 +20,16 @@ use crate::requeue::run_plan_requeue;
 use crate::schedule::FarronScheduler;
 use analysis::study::{run_case_cached, StudyConfig};
 use fleet::chaos::FaultPlan;
-use fleet::checkpoint::{CheckpointError, CheckpointStore, Fingerprint};
+use fleet::checkpoint::{
+    self, check_fault_counts, run_resumable, CheckpointError, CheckpointStore, Fingerprint,
+    Snapshot,
+};
 use fleet::screening::SuiteProfileCache;
 use fleet::supervisor::{AttritionStats, RetryPolicy};
 use sdc_model::{DetRng, Duration, Feature, TestcaseId};
 use serde::{Deserialize, Serialize};
 use silicon::catalog;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use toolchain::{framework, ExecConfig, ProfileCache, Suite};
 
 /// Evaluation parameters.
@@ -216,8 +217,8 @@ fn eval_row(
         .plan(suite, &book, processor.id, &app_features, boundary_c);
     let baseline_plan = ctx.baseline.plan(suite);
     let known_n = known.len().max(1);
-    let mut farron_cov_sum = 0.0;
-    let mut baseline_cov_sum = 0.0;
+    // Coverage sums of the Farron (leg 0) and baseline (leg 1) rounds.
+    let mut cov_sums = [0.0; 2];
     let mut attrition = AttritionStats::default();
     let coverage = |report: &toolchain::TestReport| {
         report
@@ -228,59 +229,27 @@ fn eval_row(
             / known_n as f64
     };
     for round in 0..cfg.rounds.max(1) {
-        match mode {
-            RoundMode::Plain => {
-                let mut rng = DetRng::new(cfg.seed + round as u64).fork_str(name);
-                let farron_report = framework::run_plan_cached(
-                    processor,
-                    suite,
-                    &farron_plan,
-                    burn_in_exec(),
-                    &mut rng,
-                    Some(Arc::clone(&ctx.unit_cache)),
-                );
-                farron_cov_sum += coverage(&farron_report);
-                let mut rng_b = DetRng::new(cfg.seed ^ 0xb ^ round as u64).fork_str(name);
-                let baseline_report = framework::run_plan_cached(
-                    processor,
-                    suite,
-                    &baseline_plan,
-                    ExecConfig::default(),
-                    &mut rng_b,
-                    Some(Arc::clone(&ctx.unit_cache)),
-                );
-                baseline_cov_sum += coverage(&baseline_report);
-            }
-            RoundMode::Chaos { plan, policy } => {
-                let root = DetRng::new(cfg.seed + round as u64).fork_str(name);
-                let farron_out = run_plan_requeue(
-                    processor,
-                    suite,
-                    &farron_plan,
-                    burn_in_exec(),
-                    &root,
-                    Some(Arc::clone(&ctx.unit_cache)),
-                    crate::requeue::round_label(name, round as u64, 0),
-                    plan,
-                    policy,
-                );
-                farron_cov_sum += coverage(&farron_out.report);
-                attrition.merge(&farron_out.attrition);
-                let root_b = DetRng::new(cfg.seed ^ 0xb ^ round as u64).fork_str(name);
-                let baseline_out = run_plan_requeue(
-                    processor,
-                    suite,
-                    &baseline_plan,
-                    ExecConfig::default(),
-                    &root_b,
-                    Some(Arc::clone(&ctx.unit_cache)),
-                    crate::requeue::round_label(name, round as u64, 1),
-                    plan,
-                    policy,
-                );
-                baseline_cov_sum += coverage(&baseline_out.report);
-                attrition.merge(&baseline_out.attrition);
-            }
+        let legs = [
+            (&farron_plan, burn_in_exec(), cfg.seed + round as u64),
+            (&baseline_plan, ExecConfig::default(), cfg.seed ^ 0xb ^ round as u64),
+        ];
+        for (leg, (test_plan, exec, seed)) in legs.into_iter().enumerate() {
+            let mut rng = DetRng::new(seed).fork_str(name);
+            let cache = Some(Arc::clone(&ctx.unit_cache));
+            let report = match mode {
+                RoundMode::Plain => {
+                    framework::run_plan_cached(processor, suite, test_plan, exec, &mut rng, cache)
+                }
+                RoundMode::Chaos { plan, policy } => {
+                    let label = crate::requeue::round_label(name, round as u64, leg as u64);
+                    let out = run_plan_requeue(
+                        processor, suite, test_plan, exec, &rng, cache, label, plan, policy,
+                    );
+                    attrition.merge(&out.attrition);
+                    out.report
+                }
+            };
+            cov_sums[leg] += coverage(&report);
         }
     }
     let rounds = cfg.rounds.max(1) as f64;
@@ -326,8 +295,8 @@ fn eval_row(
     let row = EvalRow {
         name,
         known_errors: known.len(),
-        farron_coverage: farron_cov_sum / rounds,
-        baseline_coverage: baseline_cov_sum / rounds,
+        farron_coverage: cov_sums[0] / rounds,
+        baseline_coverage: cov_sums[1] / rounds,
         farron_round_hours: farron_plan.total_duration().as_hours_f64(),
         baseline_round_hours: baseline_plan.total_duration().as_hours_f64(),
         farron_test_overhead: farron_plan.total_duration().as_secs_f64() / cadence_secs,
@@ -345,39 +314,10 @@ fn eval_row(
 /// randomness is forked from its name and the shared caches are
 /// result-transparent, so the rows are identical for every thread count.
 pub fn evaluate(cfg: &EvalConfig) -> Vec<EvalRow> {
-    let ctx = EvalCtx::fresh();
-    ctx.prefetch(&EVAL_NAMES, cfg.threads);
-    fleet::parallel::run_indexed(&EVAL_NAMES, cfg.threads, |_, &name| {
-        eval_row(cfg, name, RoundMode::Plain, &ctx).0
-    })
-}
-
-/// Runs the evaluation with every regular round exposed to `plan`:
-/// interrupted test windows are re-queued ([`run_plan_requeue`]), lost
-/// windows are dropped from coverage, and the aggregated attrition is
-/// returned alongside the rows.
-///
-/// Note the quiet-plan rows differ from [`evaluate`]'s: the re-queue
-/// path forks each window's RNG from its plan index (so windows can be
-/// re-ordered), while the plain path draws sequentially. Within the
-/// chaos path, supervision is transparent — see the requeue tests.
-pub fn evaluate_chaos(
-    cfg: &EvalConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> (Vec<EvalRow>, AttritionStats) {
-    let ctx = EvalCtx::fresh();
-    ctx.prefetch(&EVAL_NAMES, cfg.threads);
-    let rows = fleet::parallel::run_indexed(&EVAL_NAMES, cfg.threads, |_, &name| {
-        eval_row(cfg, name, RoundMode::Chaos { plan, policy }, &ctx)
-    });
-    let mut total = AttritionStats::default();
-    let mut out = Vec::with_capacity(rows.len());
-    for (row, att) in rows {
-        total.merge(&att);
-        out.push(row);
+    match eval_rows(cfg, RoundMode::Plain, None, &EvalCtx::fresh()) {
+        Ok(EvalRun::Completed { rows, .. }) => rows,
+        other => unreachable!("a store-less evaluation always completes, got {other:?}"),
     }
-    (out, total)
 }
 
 /// Format version of the evaluation row checkpoint.
@@ -545,29 +485,29 @@ impl EvalCheckpoint {
             rows: Vec::new(),
         }
     }
+}
 
-    /// Loads and validates a snapshot against the expected fingerprint.
-    pub fn load(
-        path: &std::path::Path,
-        expected: &Fingerprint,
-    ) -> Result<EvalCheckpoint, CheckpointError> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let ck: EvalCheckpoint =
-            serde_json::from_str(&text).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-        if ck.version != EVAL_FORMAT_VERSION {
-            return Err(CheckpointError::Version {
-                found: ck.version,
-                expected: EVAL_FORMAT_VERSION,
-            });
+impl Snapshot for EvalCheckpoint {
+    type Record = EvalRowRecord;
+    const VERSION: u32 = EVAL_FORMAT_VERSION;
+
+    fn header(&self) -> (u32, &Fingerprint) {
+        (self.version, &self.fingerprint)
+    }
+
+    fn records(&mut self) -> &mut Vec<EvalRowRecord> {
+        &mut self.rows
+    }
+
+    fn item_index(record: &EvalRowRecord) -> Option<usize> {
+        EVAL_NAMES.iter().position(|&n| n == record.name)
+    }
+
+    fn check(record: &EvalRowRecord) -> Result<(), String> {
+        if Self::item_index(record).is_none() {
+            return Err(format!("unknown eval row '{}'", record.name));
         }
-        if ck.fingerprint != *expected {
-            return Err(CheckpointError::Mismatch {
-                found: ck.fingerprint,
-                expected: expected.clone(),
-            });
-        }
-        Ok(ck)
+        check_fault_counts(&record.att_faults)
     }
 }
 
@@ -586,99 +526,70 @@ pub enum EvalRun {
     Interrupted,
 }
 
-/// [`evaluate_chaos`] with row-level checkpoint/resume.
+/// Runs the evaluation with every regular round exposed to `plan`:
+/// interrupted test windows are re-queued ([`run_plan_requeue`]), lost
+/// windows are dropped from coverage, and the aggregated attrition is
+/// returned alongside the rows.
 ///
-/// If the store's snapshot exists it is loaded (and validated against
-/// [`eval_fingerprint`]); completed rows are restored instead of
-/// re-evaluated, so interrupt-plus-resume returns exactly what an
-/// uninterrupted run would. Rows are few and expensive, so a snapshot
-/// is written after *every* completion (`store.every` is ignored);
-/// `store.kill_after` simulates SIGKILL after that many new rows.
-pub fn evaluate_checkpointed(
+/// Note the quiet-plan rows differ from [`evaluate`]'s: the re-queue
+/// path forks each window's RNG from its plan index (so windows can be
+/// re-ordered), while the plain path draws sequentially. Within the
+/// chaos path, supervision is transparent — see the requeue tests.
+///
+/// With a `store`, completed rows are checkpointed. If the store's
+/// snapshot exists it is loaded and validated against
+/// [`eval_fingerprint`]; its rows are restored instead of re-evaluated,
+/// so interrupt-plus-resume returns exactly what an uninterrupted run
+/// would. A snapshot is written every `store.every` completed rows and
+/// once at the end ([`run_resumable`]); rows are few and expensive, so
+/// callers pass 1. `store.kill_after` simulates SIGKILL after that many
+/// new rows. Without a store the run always completes.
+pub fn evaluate_chaos(
     cfg: &EvalConfig,
     plan: &FaultPlan,
     policy: &RetryPolicy,
-    store: &CheckpointStore,
+    store: Option<&CheckpointStore>,
 ) -> Result<EvalRun, CheckpointError> {
-    evaluate_checkpointed_in(cfg, plan, policy, store, &EvalCtx::fresh())
+    eval_rows(cfg, RoundMode::Chaos { plan, policy }, store, &EvalCtx::fresh())
 }
 
-/// [`evaluate_checkpointed`] on a given context; only the rows the
-/// snapshot does not hold are profiled.
-fn evaluate_checkpointed_in(
+/// The row loop behind both drivers, on a given context; only the rows
+/// the snapshot does not hold are profiled.
+fn eval_rows(
     cfg: &EvalConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    store: &CheckpointStore,
+    mode: RoundMode<'_>,
+    store: Option<&CheckpointStore>,
     ctx: &EvalCtx,
 ) -> Result<EvalRun, CheckpointError> {
-    let fingerprint = eval_fingerprint(cfg, plan);
-    let prior = if store.path().exists() {
-        EvalCheckpoint::load(store.path(), &fingerprint)?
-    } else {
-        EvalCheckpoint::empty(fingerprint)
+    let plan = match mode {
+        RoundMode::Plain => &FaultPlan::default(),
+        RoundMode::Chaos { plan, .. } => plan,
     };
-    let done: HashMap<String, EvalRowRecord> = prior
-        .rows
-        .iter()
-        .map(|r| (r.name.clone(), r.clone()))
-        .collect();
-
-    struct Sink {
-        snapshot: EvalCheckpoint,
-        new_done: usize,
-        error: Option<CheckpointError>,
-    }
-    let sink = Mutex::new(Sink {
-        snapshot: prior,
-        new_done: 0,
-        error: None,
-    });
-    let killed = AtomicBool::new(false);
+    let fingerprint = eval_fingerprint(cfg, plan);
+    let prior = match store {
+        Some(store) if store.path().exists() => checkpoint::load(store.path(), &fingerprint)?,
+        _ => EvalCheckpoint::empty(fingerprint),
+    };
     let todo: Vec<&str> = EVAL_NAMES
         .iter()
         .copied()
-        .filter(|name| !done.contains_key(*name))
+        .filter(|name| !prior.rows.iter().any(|r| r.name == *name))
         .collect();
     ctx.prefetch(&todo, cfg.threads);
 
-    let records = fleet::parallel::run_indexed(&EVAL_NAMES, cfg.threads, |_, &name| {
-        if let Some(record) = done.get(name) {
-            return Some(record.clone());
-        }
-        if killed.load(Ordering::SeqCst) {
-            return None;
-        }
-        let (row, attrition) = eval_row(cfg, name, RoundMode::Chaos { plan, policy }, ctx);
-        let record = EvalRowRecord::of(&row, &attrition);
-        let mut sink = sink.lock().expect("eval checkpoint sink");
-        sink.snapshot.rows.push(record.clone());
-        sink.new_done += 1;
-        if let Err(e) = store.write_value(&sink.snapshot) {
-            sink.error = Some(e);
-        }
-        if let Some(k) = store.kill_after {
-            if sink.new_done >= k {
-                killed.store(true, Ordering::SeqCst);
-            }
-        }
-        Some(record)
-    });
-
-    let sink = sink.into_inner().expect("eval workers joined");
-    if let Some(e) = sink.error {
-        return Err(e);
-    }
-    if killed.load(Ordering::SeqCst) {
+    let records = run_resumable(&EVAL_NAMES, cfg.threads, store, prior, |_, &name| {
+        let (row, attrition) = eval_row(cfg, name, mode, ctx);
+        EvalRowRecord::of(&row, &attrition)
+    })?;
+    let Some(records) = records else {
         return Ok(EvalRun::Interrupted);
-    }
+    };
     let mut rows = Vec::with_capacity(EVAL_NAMES.len());
     let mut total = AttritionStats::default();
     for record in records {
-        let record = record.expect("uninterrupted run evaluates every row");
-        let row = record
-            .to_row()
-            .ok_or_else(|| CheckpointError::Corrupt(format!("unknown eval row '{}'", record.name)))?;
+        let row = record.to_row().ok_or_else(|| {
+            CheckpointError::Corrupt(format!("unknown eval row '{}'", record.name))
+        })?;
         total.merge(&record.attrition());
         rows.push(row);
     }
@@ -781,10 +692,40 @@ mod tests {
         }
     }
 
+    /// A made-up completed row for snapshot tests.
+    fn record(name: &'static str, known_errors: usize) -> EvalRowRecord {
+        let row = EvalRow {
+            name,
+            known_errors,
+            farron_coverage: 1.0,
+            baseline_coverage: 0.5,
+            farron_round_hours: 1.0,
+            baseline_round_hours: 10.0,
+            farron_test_overhead: 0.0,
+            farron_control_overhead: 0.0,
+            baseline_test_overhead: 0.0,
+            backoff_secs_per_hour: 0.0,
+            protected_sdc_events: 0,
+        };
+        EvalRowRecord::of(&row, &AttritionStats::default())
+    }
+
+    /// The rows and attrition of a run that must complete.
+    fn completed(run: Result<EvalRun, CheckpointError>) -> (Vec<EvalRow>, AttritionStats) {
+        match run {
+            Ok(EvalRun::Completed { rows, attrition }) => (rows, attrition),
+            other => panic!("expected a completed evaluation, got {other:?}"),
+        }
+    }
+
     #[test]
     fn quiet_chaos_eval_loses_nothing() {
-        let (rows, attrition) =
-            evaluate_chaos(&tiny_cfg(), &FaultPlan::default(), &RetryPolicy::default());
+        let (rows, attrition) = completed(evaluate_chaos(
+            &tiny_cfg(),
+            &FaultPlan::default(),
+            &RetryPolicy::default(),
+            None,
+        ));
         assert_eq!(rows.len(), EVAL_NAMES.len());
         assert_eq!(attrition.lost, 0);
         assert_eq!(attrition.retries, 0);
@@ -812,29 +753,17 @@ mod tests {
         let path = std::env::temp_dir().join("sdc-eval-ck-complete.json");
         let mut snapshot = EvalCheckpoint::empty(eval_fingerprint(&cfg, &storm()));
         for (i, name) in EVAL_NAMES.iter().enumerate() {
-            snapshot.rows.push(EvalRowRecord::of(
-                &EvalRow {
-                    name,
-                    known_errors: i,
-                    farron_coverage: 1.0,
-                    baseline_coverage: 0.5,
-                    farron_round_hours: 1.0,
-                    baseline_round_hours: 10.0,
-                    farron_test_overhead: 0.0,
-                    farron_control_overhead: 0.0,
-                    baseline_test_overhead: 0.0,
-                    backoff_secs_per_hour: 0.0,
-                    protected_sdc_events: 0,
-                },
-                &AttritionStats::default(),
-            ));
+            snapshot.rows.push(record(name, i));
         }
         let store = CheckpointStore::new(path.clone(), 1);
-        store.write_value(&snapshot).unwrap();
+        store.write(&snapshot).unwrap();
 
         let ctx = EvalCtx::fresh();
-        let run = evaluate_checkpointed_in(&cfg, &storm(), &RetryPolicy::default(), &store, &ctx)
-            .unwrap();
+        let mode = RoundMode::Chaos {
+            plan: &storm(),
+            policy: &RetryPolicy::default(),
+        };
+        let run = eval_rows(&cfg, mode, Some(&store), &ctx).unwrap();
         let EvalRun::Completed { rows, .. } = run else {
             panic!("resume run has no kill hook");
         };
@@ -853,7 +782,7 @@ mod tests {
 
         let full_store = CheckpointStore::new(dir.join("full.json"), 1);
         let (full_rows, full_att) =
-            match evaluate_checkpointed(&cfg, &storm(), &policy, &full_store).unwrap() {
+            match evaluate_chaos(&cfg, &storm(), &policy, Some(&full_store)).unwrap() {
                 EvalRun::Completed { rows, attrition } => (rows, attrition),
                 EvalRun::Interrupted => panic!("run without a kill hook cannot be interrupted"),
             };
@@ -864,12 +793,12 @@ mod tests {
         let mut killer = CheckpointStore::new(dir.join("killed.json"), 1);
         killer.kill_after = Some(2);
         assert!(matches!(
-            evaluate_checkpointed(&cfg, &storm(), &policy, &killer).unwrap(),
+            evaluate_chaos(&cfg, &storm(), &policy, Some(&killer)).unwrap(),
             EvalRun::Interrupted
         ));
         let resume_store = CheckpointStore::new(dir.join("killed.json"), 1);
         let (rows, attrition) =
-            match evaluate_checkpointed(&cfg, &storm(), &policy, &resume_store).unwrap() {
+            match evaluate_chaos(&cfg, &storm(), &policy, Some(&resume_store)).unwrap() {
                 EvalRun::Completed { rows, attrition } => (rows, attrition),
                 EvalRun::Interrupted => panic!("resume run has no kill hook"),
             };
@@ -880,9 +809,91 @@ mod tests {
         let mut other = cfg;
         other.seed ^= 1;
         assert!(matches!(
-            evaluate_checkpointed(&other, &storm(), &policy, &resume_store),
+            evaluate_chaos(&other, &storm(), &policy, Some(&resume_store)),
             Err(CheckpointError::Mismatch { .. })
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn store_does_not_change_eval_results() {
+        // One context for every run: profiles are result-transparent, and
+        // sharing them keeps the six evaluations cheap.
+        let ctx = EvalCtx::fresh();
+        let policy = RetryPolicy::default();
+        let mode = RoundMode::Chaos {
+            plan: &storm(),
+            policy: &policy,
+        };
+        let dir = std::env::temp_dir().join(format!("sdc-eval-ck-store-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for threads in [1, 2] {
+            let cfg = EvalConfig {
+                threads,
+                ..tiny_cfg()
+            };
+            let (rows, attrition) = completed(eval_rows(&cfg, mode, None, &ctx));
+            assert!(attrition.total_faults() > 0, "storm must interrupt something");
+            for every in [1, 4] {
+                let store = CheckpointStore::new(dir.join(format!("t{threads}-e{every}.json")), every);
+                let (stored_rows, stored_att) = completed(eval_rows(&cfg, mode, Some(&store), &ctx));
+                assert_eq!(stored_rows, rows, "threads {threads}, every {every}");
+                assert_eq!(stored_att, attrition, "threads {threads}, every {every}");
+                // The final snapshot holds every row.
+                let snapshot: EvalCheckpoint =
+                    checkpoint::load(store.path(), &eval_fingerprint(&cfg, &storm())).unwrap();
+                assert_eq!(snapshot.rows.len(), EVAL_NAMES.len());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unwritable_checkpoint_store_is_a_typed_error_not_a_panic() {
+        // Pointing the store at a directory that does not exist makes the
+        // first snapshot write fail; the evaluation must surface that as
+        // CheckpointError::Io instead of panicking.
+        let path = std::env::temp_dir()
+            .join(format!("sdc-eval-no-such-dir-{}", std::process::id()))
+            .join("ckpt.json");
+        let store = CheckpointStore::new(&path, 1);
+        let result = evaluate_chaos(&tiny_cfg(), &storm(), &RetryPolicy::default(), Some(&store));
+        match result {
+            Err(CheckpointError::Io(_)) => {}
+            other => panic!("expected CheckpointError::Io, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resume_rejects_unknown_rows_and_short_fault_vectors() {
+        let cfg = tiny_cfg();
+        let policy = RetryPolicy::default();
+        let mode = RoundMode::Chaos {
+            plan: &storm(),
+            policy: &policy,
+        };
+        let dir = std::env::temp_dir().join(format!("sdc-eval-ck-bad-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = CheckpointStore::new(dir.join("ck.json"), 1);
+        let mut unknown = record("FPU1", 3);
+        unknown.name = "FPU9".into();
+        let mut short = record("FPU1", 3);
+        short.att_faults.pop();
+        for (bad, error) in [
+            (unknown, "record 1: unknown eval row 'FPU9'"),
+            (short, "record 1: 4 fault counts, expected 5"),
+        ] {
+            let mut snapshot = EvalCheckpoint::empty(eval_fingerprint(&cfg, &storm()));
+            snapshot.rows = vec![record("MIX1", 2), bad];
+            store.write(&snapshot).unwrap();
+            // Rejected at load, before anything is profiled or evaluated.
+            let ctx = EvalCtx::fresh();
+            match eval_rows(&cfg, mode, Some(&store), &ctx) {
+                Err(CheckpointError::Corrupt(e)) => assert_eq!(e, error),
+                other => panic!("expected CheckpointError::Corrupt, got {other:?}"),
+            }
+            assert_eq!(ctx.unit_cache.stats().misses, 0);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -39,8 +39,8 @@ pub use boundary::{AdaptiveBoundary, BoundaryAction};
 pub use capacity::{capacity_report, CapacityReport};
 pub use decommission::{DecommissionDecision, ReliablePool};
 pub use eval::{
-    eval_fingerprint, evaluate, evaluate_chaos, evaluate_checkpointed, EvalCheckpoint, EvalConfig,
-    EvalRow, EvalRowRecord, EvalRun,
+    eval_fingerprint, evaluate, evaluate_chaos, EvalCheckpoint, EvalConfig, EvalRow, EvalRowRecord,
+    EvalRun,
 };
 pub use online::{simulate_online, AppProfile, ControlMode, OnlineConfig, OnlineReport};
 pub use priority::{PriorityBook, TestPriority};

@@ -86,7 +86,7 @@ pub fn run_plan_requeue(
         let slot = &mut reports[idx];
         slot.attempts += 1;
         let injected = chaos.draw(label, attempt);
-        match injected {
+        let err = match injected {
             Some(OpFault::ProfileRead) | None => {
                 // A fresh executor per window: thermal and clock state
                 // must not leak between windows, or re-queue order would
@@ -101,32 +101,24 @@ pub fn run_plan_requeue(
                 let entry = &plan.entries[idx];
                 let tc = suite.get(entry.testcase);
                 let mut rng = root.fork(label);
-                let result = executor.try_run(tc, &cores, entry.duration, &mut rng);
-                match result {
-                    Ok(run) => runs[idx] = Some(run),
-                    Err(e) => {
-                        let err = SlotError::Exec(e);
-                        if let Some(kind) = err.fault_kind() {
-                            slot.faults_by_kind[kind.index()] += 1;
-                        }
-                        if err.is_retryable() && attempt + 1 < policy.max_attempts {
-                            slot.backoff_secs += policy.backoff_secs(chaos, label, attempt);
-                            queue.push_back((idx, attempt + 1));
-                        } else {
-                            slot.lost = Some(err);
-                        }
+                match executor.try_run(tc, &cores, entry.duration, &mut rng) {
+                    Ok(run) => {
+                        runs[idx] = Some(run);
+                        continue;
                     }
+                    Err(e) => SlotError::Exec(e),
                 }
             }
-            Some(fault) => {
-                slot.faults_by_kind[fault.index()] += 1;
-                if attempt + 1 < policy.max_attempts {
-                    slot.backoff_secs += policy.backoff_secs(chaos, label, attempt);
-                    queue.push_back((idx, attempt + 1));
-                } else {
-                    slot.lost = Some(SlotError::Fault(fault));
-                }
-            }
+            Some(fault) => SlotError::Fault(fault),
+        };
+        if let Some(kind) = err.fault_kind() {
+            slot.faults_by_kind[kind.index()] += 1;
+        }
+        if err.is_retryable() && attempt + 1 < policy.max_attempts {
+            slot.backoff_secs += policy.backoff_secs(chaos, label, attempt);
+            queue.push_back((idx, attempt + 1));
+        } else {
+            slot.lost = Some(err);
         }
     }
 

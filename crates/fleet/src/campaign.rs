@@ -2,7 +2,7 @@
 
 use crate::chaos::{FaultPlan, OpFault};
 use crate::checkpoint::{
-    CampaignCheckpoint, CheckpointError, CheckpointStore, Fingerprint, ItemRecord,
+    run_resumable, CampaignCheckpoint, CheckpointError, CheckpointStore, Fingerprint, ItemRecord,
 };
 use crate::lifecycle::{Stage, StageSpec};
 use crate::population::{FleetConfig, FleetPopulation};
@@ -11,8 +11,6 @@ use crate::supervisor::{run_slot, AttritionStats, RetryPolicy, SlotError};
 use sdc_model::{ArchId, DetRng};
 use silicon::Processor;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use toolchain::{CacheStats, Suite};
 
 /// Samples the age (years after factory delivery) at which a defect
@@ -206,35 +204,18 @@ pub fn campaign_fingerprint(cfg: &FleetConfig, plan: &FaultPlan) -> Fingerprint 
     }
 }
 
-/// [`run_campaign`] under a fault plan and retry policy: slots that
-/// draw operational faults retry with backoff; slots that exhaust the
-/// budget are dropped from the outcome and reported in the attrition
-/// stats — the campaign itself always completes.
-pub fn run_campaign_supervised(
-    cfg: &FleetConfig,
-    suite: &Suite,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> SupervisedCampaign {
-    let pop = FleetPopulation::sample(cfg);
-    match run_campaign_resumable(cfg, suite, &pop, plan, policy, None, None) {
-        Ok(ResumableRun::Completed(run)) => run,
-        Ok(ResumableRun::Interrupted) => {
-            unreachable!("no checkpoint store, so no kill hook can fire")
-        }
-        Err(e) => unreachable!("no checkpoint store, so no checkpoint I/O can fail: {e}"),
-    }
-}
-
-/// The checkpointable supervised campaign driver.
+/// The supervised, checkpointable campaign driver: [`run_campaign`]
+/// under a fault plan and retry policy. Slots that draw operational
+/// faults retry with backoff; slots that exhaust the budget are dropped
+/// from the outcome and reported in the attrition stats.
 ///
 /// Each slot is a pure function of `(cfg.seed, plan, population
 /// index)`, so `resume` only needs the completed [`ItemRecord`]s:
 /// workers skip those indices and recompute the rest, and the assembled
 /// outcome is bitwise identical to an uninterrupted run at any thread
-/// count. With a `store`, a snapshot is written atomically every
-/// [`CheckpointStore::every`] completions (plus once at the end);
-/// `store.kill_after` simulates SIGKILL for the determinism tests.
+/// count. With a `store`, snapshots are written as
+/// [`run_resumable`] describes; `store.kill_after` simulates SIGKILL
+/// for the determinism tests. Without a store the run always completes.
 pub fn run_campaign_resumable(
     cfg: &FleetConfig,
     suite: &Suite,
@@ -248,31 +229,11 @@ pub fn run_campaign_resumable(
     let clock_hz = 1e7;
     let root = DetRng::new(cfg.seed).fork_str("fleet-campaign");
     let profile_cache = SuiteProfileCache::new();
-    let done: HashMap<usize, ItemRecord> = resume.map(|c| c.by_index()).unwrap_or_default();
+    let prior = resume
+        .cloned()
+        .unwrap_or_else(|| CampaignCheckpoint::empty(campaign_fingerprint(cfg, plan)));
 
-    struct Sink {
-        snapshot: CampaignCheckpoint,
-        since_write: usize,
-        new_done: usize,
-        error: Option<CheckpointError>,
-    }
-    let killed = AtomicBool::new(false);
-    let sink = Mutex::new(Sink {
-        snapshot: resume.cloned().unwrap_or_else(|| {
-            CampaignCheckpoint::empty(campaign_fingerprint(cfg, plan))
-        }),
-        since_write: 0,
-        new_done: 0,
-        error: None,
-    });
-
-    let records = crate::parallel::run_indexed(&pop.defective, cfg.threads, |i, processor| {
-        if let Some(rec) = done.get(&i) {
-            return Some(rec.clone());
-        }
-        if killed.load(Ordering::Relaxed) {
-            return None;
-        }
+    let records = run_resumable(&pop.defective, cfg.threads, store, prior, |i, processor| {
         let label = processor.id.0;
         let slot = run_slot(policy, plan, label, |attempt| {
             let fail_read = match attempt.injected {
@@ -289,45 +250,18 @@ pub fn run_campaign_resumable(
             // Re-fork the fate stream from scratch every attempt:
             // supervision is transparent to a successful slot's result.
             let mut rng = root.fork(label);
-            let fate = processor_fate(processor, suite, &profiles, &pipeline, clock_hz, &mut rng);
-            Ok((processor.arch, fate))
+            Ok(processor_fate(processor, suite, &profiles, &pipeline, clock_hz, &mut rng))
         });
-        let fate = slot.result.map(|(_, f)| f);
-        let rec = ItemRecord::of(i, processor.arch, fate, &slot.report);
-        if let Some(store) = store {
-            let mut s = sink.lock().expect("checkpoint sink");
-            s.snapshot.items.push(rec.clone());
-            s.since_write += 1;
-            s.new_done += 1;
-            if s.since_write >= store.every && s.error.is_none() {
-                if let Err(e) = store.write(&s.snapshot) {
-                    s.error = Some(e);
-                }
-                s.since_write = 0;
-            }
-            if let Some(k) = store.kill_after {
-                if s.new_done >= k {
-                    killed.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        Some(rec)
-    });
-
-    if let Some(e) = sink.lock().expect("checkpoint sink").error.take() {
-        return Err(e);
-    }
-    if killed.load(Ordering::Relaxed) {
+        ItemRecord::of(i, processor.arch, slot.result, &slot.report)
+    })?;
+    let Some(records) = records else {
         return Ok(ResumableRun::Interrupted);
-    }
+    };
 
     let mut fates = Vec::new();
     let mut attrition = AttritionStats::default();
     let mut lost = Vec::new();
     for rec in &records {
-        let rec = rec
-            .as_ref()
-            .expect("invariant violated: every slot completes when the kill hook never fired");
         let report = rec.report();
         match rec.fate() {
             Some(fate) => {
@@ -339,12 +273,6 @@ pub fn run_campaign_resumable(
                 lost.push(rec.index);
             }
         }
-    }
-    if let Some(store) = store {
-        // Leave a complete snapshot behind so a finished run can be
-        // "resumed" into an instant replay.
-        let sink = sink.lock().expect("checkpoint sink");
-        store.write(&sink.snapshot)?;
     }
     Ok(ResumableRun::Completed(SupervisedCampaign {
         outcome: CampaignOutcome {
@@ -407,6 +335,20 @@ mod tests {
             threads: 2,
         };
         run_campaign(&cfg, &Suite::standard())
+    }
+
+    /// A store-less supervised campaign over a freshly sampled fleet.
+    fn supervised(
+        cfg: &FleetConfig,
+        suite: &Suite,
+        plan: &FaultPlan,
+        policy: &RetryPolicy,
+    ) -> SupervisedCampaign {
+        let pop = FleetPopulation::sample(cfg);
+        match run_campaign_resumable(cfg, suite, &pop, plan, policy, None, None) {
+            Ok(ResumableRun::Completed(run)) => run,
+            other => panic!("a store-less campaign always completes, got {other:?}"),
+        }
     }
 
     #[test]
@@ -507,7 +449,7 @@ mod tests {
         let suite = Suite::standard();
         let plain = run_campaign(&cfg, &suite);
         let supervised =
-            run_campaign_supervised(&cfg, &suite, &FaultPlan::default(), &RetryPolicy::default());
+            supervised(&cfg, &suite, &FaultPlan::default(), &RetryPolicy::default());
         assert_eq!(supervised.outcome.fates, plain.fates);
         assert_eq!(supervised.attrition.lost, 0);
         assert_eq!(supervised.attrition.retries, 0);
@@ -530,7 +472,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let suite = Suite::standard();
-        let run = run_campaign_supervised(&cfg, &suite, &plan, &RetryPolicy::default());
+        let run = supervised(&cfg, &suite, &plan, &RetryPolicy::default());
         assert_eq!(run.attrition.items, run.outcome.fates.len() as u64 + run.lost.len() as u64);
         assert!(run.attrition.total_faults() > 0, "a storm must leave marks");
         assert!(run.attrition.retries > 0);
@@ -565,9 +507,9 @@ mod tests {
             seed: 41,
             threads: 1,
         };
-        let serial = run_campaign_supervised(&cfg, &suite, &plan, &RetryPolicy::default());
+        let serial = supervised(&cfg, &suite, &plan, &RetryPolicy::default());
         cfg.threads = 8;
-        let parallel = run_campaign_supervised(&cfg, &suite, &plan, &RetryPolicy::default());
+        let parallel = supervised(&cfg, &suite, &plan, &RetryPolicy::default());
         assert_eq!(serial.outcome.fates, parallel.outcome.fates);
         assert_eq!(serial.attrition, parallel.attrition);
         assert_eq!(serial.lost, parallel.lost);

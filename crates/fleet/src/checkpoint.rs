@@ -10,6 +10,11 @@
 //! Resume recomputes only the missing items and merges by index; the
 //! assembled outcome — fates, tables, attrition — is bitwise identical
 //! to an uninterrupted run at any thread count.
+//!
+//! The campaign and the Farron evaluation share this machinery: each
+//! snapshot type implements [`Snapshot`], is read back through the one
+//! [`load`], and is driven by the one resumable loop
+//! [`run_resumable`].
 
 use crate::campaign::Fate;
 use crate::lifecycle::Stage;
@@ -18,10 +23,17 @@ use crate::chaos::OpFault;
 use sdc_model::ArchId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// Current checkpoint format version.
 pub const FORMAT_VERSION: u32 = 1;
+
+/// Largest snapshot file [`load`] reads. A full-size chaos campaign
+/// snapshot is about 2.4 MB.
+pub const MAX_SNAPSHOT_BYTES: u64 = 256 << 20;
 
 /// Identity of the campaign a checkpoint belongs to.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -147,6 +159,11 @@ serde::impl_json_struct!(CampaignCheckpoint {
 pub enum CheckpointError {
     /// Reading or writing the file failed.
     Io(String),
+    /// The file is larger than [`MAX_SNAPSHOT_BYTES`].
+    TooLarge {
+        /// Size of the file in bytes.
+        bytes: u64,
+    },
     /// The file did not parse as a checkpoint.
     Corrupt(String),
     /// The file is a checkpoint of a different format version.
@@ -169,6 +186,10 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O: {e}"),
+            CheckpointError::TooLarge { bytes } => write!(
+                f,
+                "checkpoint is {bytes} bytes, over the {MAX_SNAPSHOT_BYTES}-byte limit"
+            ),
             CheckpointError::Corrupt(e) => write!(f, "corrupt checkpoint: {e}"),
             CheckpointError::Version { found, expected } => {
                 write!(f, "checkpoint format v{found}, this build reads v{expected}")
@@ -196,33 +217,10 @@ impl CampaignCheckpoint {
         }
     }
 
-    /// Loads and validates a snapshot against the expected fingerprint.
+    /// Loads and validates a snapshot against the expected fingerprint
+    /// ([`load`]).
     pub fn load(path: &Path, expected: &Fingerprint) -> Result<CampaignCheckpoint, CheckpointError> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let ck: CampaignCheckpoint =
-            serde_json::from_str(&text).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-        if ck.version != FORMAT_VERSION {
-            return Err(CheckpointError::Version {
-                found: ck.version,
-                expected: FORMAT_VERSION,
-            });
-        }
-        if ck.fingerprint != *expected {
-            return Err(CheckpointError::Mismatch {
-                found: ck.fingerprint,
-                expected: expected.clone(),
-            });
-        }
-        Ok(ck)
-    }
-
-    /// Completed records keyed by population index.
-    pub fn by_index(&self) -> HashMap<usize, ItemRecord> {
-        self.items
-            .iter()
-            .map(|r| (r.index as usize, r.clone()))
-            .collect()
+        load(path, expected)
     }
 }
 
@@ -232,7 +230,7 @@ pub struct CheckpointStore {
     path: PathBuf,
     /// Completions between snapshot writes.
     pub every: usize,
-    /// Testing hook simulating SIGKILL: the campaign driver stops
+    /// Testing hook simulating SIGKILL: [`run_resumable`] stops
     /// claiming work after this many *new* completions, leaving the
     /// last written snapshot on disk — exactly the state a killed
     /// process would leave behind.
@@ -258,20 +256,194 @@ impl CheckpointStore {
     /// file, fsync-free rename over the target (rename is atomic on the
     /// platforms we run on; a torn write can only ever leave the old
     /// snapshot or the new one, never a hybrid).
-    pub fn write(&self, ck: &CampaignCheckpoint) -> Result<(), CheckpointError> {
-        self.write_value(ck)
-    }
-
-    /// [`CheckpointStore::write`] for any serializable snapshot type
-    /// (the Farron evaluation keeps its own row checkpoint).
-    pub fn write_value<T: Serialize>(&self, value: &T) -> Result<(), CheckpointError> {
+    pub fn write<T: Serialize>(&self, snapshot: &T) -> Result<(), CheckpointError> {
         let json =
-            serde_json::to_string(value).map_err(|e| CheckpointError::Io(e.to_string()))?;
+            serde_json::to_string(snapshot).map_err(|e| CheckpointError::Io(e.to_string()))?;
         let tmp = self.path.with_extension("tmp");
         std::fs::write(&tmp, json).map_err(|e| CheckpointError::Io(e.to_string()))?;
         std::fs::rename(&tmp, &self.path).map_err(|e| CheckpointError::Io(e.to_string()))?;
         Ok(())
     }
+}
+
+/// A versioned, fingerprinted snapshot of completed work items, in
+/// completion order.
+pub trait Snapshot: Serialize + Deserialize + Send {
+    /// One completed item.
+    type Record: Clone + Send + Sync;
+    /// Format version this build writes and reads.
+    const VERSION: u32;
+    /// The snapshot's format version and the run it belongs to.
+    fn header(&self) -> (u32, &Fingerprint);
+    /// Completed items.
+    fn records(&mut self) -> &mut Vec<Self::Record>;
+    /// Position of `record`'s item in the run's item list, if any.
+    fn item_index(record: &Self::Record) -> Option<usize>;
+    /// Why this build could not have written `record`, if it could not.
+    fn check(record: &Self::Record) -> Result<(), String>;
+}
+
+impl Snapshot for CampaignCheckpoint {
+    type Record = ItemRecord;
+    const VERSION: u32 = FORMAT_VERSION;
+
+    fn header(&self) -> (u32, &Fingerprint) {
+        (self.version, &self.fingerprint)
+    }
+
+    fn records(&mut self) -> &mut Vec<ItemRecord> {
+        &mut self.items
+    }
+
+    fn item_index(record: &ItemRecord) -> Option<usize> {
+        usize::try_from(record.index).ok()
+    }
+
+    fn check(record: &ItemRecord) -> Result<(), String> {
+        check_fault_counts(&record.faults)
+    }
+}
+
+/// Checks that a persisted fault vector has one count per [`OpFault`].
+pub fn check_fault_counts(faults: &[u64]) -> Result<(), String> {
+    let (found, expected) = (faults.len(), OpFault::ALL.len());
+    (found == expected)
+        .then_some(())
+        .ok_or_else(|| format!("{found} fault counts, expected {expected}"))
+}
+
+/// Loads a snapshot and validates it against the expected fingerprint.
+///
+/// Checks run in this order: the file size against
+/// [`MAX_SNAPSHOT_BYTES`] (before reading), the JSON shape, the format
+/// version (before the fingerprint: fields of a foreign format may not
+/// mean the same thing), the fingerprint, then every record
+/// ([`Snapshot::check`]).
+pub fn load<S: Snapshot>(path: &Path, expected: &Fingerprint) -> Result<S, CheckpointError> {
+    let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
+    let file = std::fs::File::open(path).map_err(io)?;
+    let mut bytes = file.metadata().map_err(io)?.len();
+    let mut text = String::new();
+    if bytes <= MAX_SNAPSHOT_BYTES {
+        // The bound holds even where the size metadata understates the file.
+        let mut bounded = file.take(MAX_SNAPSHOT_BYTES + 1);
+        bounded.read_to_string(&mut text).map_err(io)?;
+        bytes = bytes.max(text.len() as u64);
+    }
+    if bytes > MAX_SNAPSHOT_BYTES {
+        return Err(CheckpointError::TooLarge { bytes });
+    }
+    let mut ck: S =
+        serde_json::from_str(&text).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
+    let (found, fingerprint) = ck.header();
+    if found != S::VERSION {
+        return Err(CheckpointError::Version {
+            found,
+            expected: S::VERSION,
+        });
+    }
+    if fingerprint != expected {
+        return Err(CheckpointError::Mismatch {
+            found: fingerprint.clone(),
+            expected: expected.clone(),
+        });
+    }
+    for (i, record) in ck.records().iter().enumerate() {
+        S::check(record).map_err(|e| CheckpointError::Corrupt(format!("record {i}: {e}")))?;
+    }
+    Ok(ck)
+}
+
+/// The one resumable work loop: applies `work` to every item of
+/// `items` not already in `prior`, on `threads` workers
+/// ([`crate::parallel::run_indexed`]), and returns every item's record
+/// in item order — restored ones from `prior`, the rest freshly
+/// computed.
+///
+/// With a `store`, each new record is appended to `prior` and the
+/// snapshot is written atomically every [`CheckpointStore::every`]
+/// completions and once at the end. Workers stop claiming items after
+/// the first failed write or once [`CheckpointStore::kill_after`] new
+/// items completed. The first write error is returned; a fired kill
+/// hook returns `Ok(None)`, leaving the last written snapshot on disk.
+/// `work` must be a pure function of `(index, item)` for the result to
+/// be independent of thread count and of interruption.
+pub fn run_resumable<T, S, F>(
+    items: &[T],
+    threads: usize,
+    store: Option<&CheckpointStore>,
+    mut prior: S,
+    work: F,
+) -> Result<Option<Vec<S::Record>>, CheckpointError>
+where
+    T: Sync,
+    S: Snapshot,
+    F: Fn(usize, &T) -> S::Record + Sync,
+{
+    let done: HashMap<usize, S::Record> = prior
+        .records()
+        .iter()
+        .filter_map(|r| Some((S::item_index(r)?, r.clone())))
+        .collect();
+    struct Sink<S> {
+        snapshot: S,
+        new_done: usize,
+        error: Option<CheckpointError>,
+    }
+    let sink = Mutex::new(Sink {
+        snapshot: prior,
+        new_done: 0,
+        error: None,
+    });
+    // Relaxed suffices: the flag publishes no data, it only tells workers
+    // to stop claiming items, and the read after the loop follows the
+    // workers' join.
+    let stopped = AtomicBool::new(false);
+
+    let records = crate::parallel::run_indexed(items, threads, |i, item| {
+        if let Some(record) = done.get(&i) {
+            return Some(record.clone());
+        }
+        if stopped.load(Ordering::Relaxed) {
+            return None;
+        }
+        let record = work(i, item);
+        if let Some(store) = store {
+            let mut s = sink.lock().expect("checkpoint sink");
+            s.snapshot.records().push(record.clone());
+            s.new_done += 1;
+            // `every` is a public field: guard against a hand-set zero.
+            if s.new_done % store.every.max(1) == 0 && s.error.is_none() {
+                if let Err(e) = store.write(&s.snapshot) {
+                    s.error = Some(e);
+                    stopped.store(true, Ordering::Relaxed);
+                }
+            }
+            if store.kill_after.is_some_and(|k| s.new_done >= k) {
+                stopped.store(true, Ordering::Relaxed);
+            }
+        }
+        Some(record)
+    });
+
+    let sink = sink.into_inner().expect("checkpoint sink");
+    if let Some(e) = sink.error {
+        return Err(e);
+    }
+    if stopped.load(Ordering::Relaxed) {
+        return Ok(None);
+    }
+    if let Some(store) = store {
+        // Leave a complete snapshot behind so a finished run can be
+        // "resumed" into an instant replay.
+        store.write(&sink.snapshot)?;
+    }
+    Ok(Some(
+        records
+            .into_iter()
+            .map(|r| r.expect("invariant violated: every item completes when no worker stopped"))
+            .collect(),
+    ))
 }
 
 #[cfg(test)]
@@ -319,9 +491,8 @@ mod tests {
         store.write(&ck).unwrap();
         let back = CampaignCheckpoint::load(store.path(), &fp()).unwrap();
         assert_eq!(back, ck);
-        let by_index = back.by_index();
-        assert_eq!(by_index.len(), 3);
-        assert_eq!(by_index[&3].fate(), Some(Fate::Caught(Stage::Factory, 0)));
+        let third = back.items.iter().find(|r| r.index == 3).unwrap();
+        assert_eq!(third.fate(), Some(Fate::Caught(Stage::Factory, 0)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -385,6 +556,44 @@ mod tests {
             CampaignCheckpoint::load(&garbled, &fp()),
             Err(CheckpointError::Corrupt(_))
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_rejects_oversized_files_before_reading() {
+        let dir = std::env::temp_dir().join("sdc-ck-test-big");
+        std::fs::create_dir_all(&dir).unwrap();
+        let big = dir.join("big.json");
+        // A sparse file: its size is over the limit but nothing is written.
+        let file = std::fs::File::create(&big).unwrap();
+        file.set_len(MAX_SNAPSHOT_BYTES + 1).unwrap();
+        assert_eq!(
+            CampaignCheckpoint::load(&big, &fp()),
+            Err(CheckpointError::TooLarge {
+                bytes: MAX_SNAPSHOT_BYTES + 1
+            })
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_rejects_records_with_wrong_fault_counts() {
+        let dir = std::env::temp_dir().join("sdc-ck-test-faults");
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = CheckpointStore::new(dir.join("ck.json"), 1);
+        for len in [OpFault::ALL.len() - 1, OpFault::ALL.len() + 1] {
+            let mut bad = record(7, Some(Fate::Escaped));
+            bad.faults.resize(len, 0);
+            let mut ck = CampaignCheckpoint::empty(fp());
+            ck.items = vec![record(0, None), bad];
+            store.write(&ck).unwrap();
+            match CampaignCheckpoint::load(store.path(), &fp()) {
+                Err(CheckpointError::Corrupt(e)) => {
+                    assert_eq!(e, format!("record 1: {len} fault counts, expected 5"))
+                }
+                other => panic!("expected CheckpointError::Corrupt, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -28,8 +28,8 @@ pub mod screening;
 pub mod supervisor;
 
 pub use campaign::{
-    campaign_fingerprint, run_campaign, run_campaign_on, run_campaign_resumable,
-    run_campaign_supervised, CampaignOutcome, Fate, ResumableRun, SupervisedCampaign,
+    campaign_fingerprint, run_campaign, run_campaign_on, run_campaign_resumable, CampaignOutcome,
+    Fate, ResumableRun, SupervisedCampaign,
 };
 pub use chaos::{FaultPlan, OpFault};
 pub use checkpoint::{

@@ -15,10 +15,9 @@ use silicon::defect::DefectKind;
 use silicon::Processor;
 use softcore::{Inst, InstClass, Program};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use thermal::{ThermalConfig, ThermalModel};
-use toolchain::{builders, CacheStats, Suite, Testcase};
+use toolchain::{builders, CacheStats, MemoCache, Suite, Testcase};
 
 /// Static profile of one testcase instantiated on a given core count.
 #[derive(Debug, Clone)]
@@ -187,26 +186,11 @@ impl StaticSuiteProfile {
 }
 
 /// Shared, thread-safe memoization of [`StaticSuiteProfile`]s by core
-/// count.
-///
-/// A campaign's workers all need the suite profile for each package
-/// shape; this cache builds each one once — same lock discipline as
-/// `toolchain`'s unit-profile cache (mutex for bookkeeping only, the
-/// expensive build runs outside the lock in a per-key `OnceLock`).
-#[derive(Default)]
-pub struct SuiteProfileCache {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inner: Mutex<HashMap<usize, Arc<OnceLock<Arc<StaticSuiteProfile>>>>>,
-}
-
-impl std::fmt::Debug for SuiteProfileCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SuiteProfileCache")
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
+/// count: an unbounded [`MemoCache`] (core counts are few, so it never
+/// evicts). A campaign's workers all need the suite profile for each
+/// package shape; this cache builds each one once.
+#[derive(Debug, Default)]
+pub struct SuiteProfileCache(MemoCache<usize, StaticSuiteProfile>);
 
 impl SuiteProfileCache {
     /// An empty cache.
@@ -223,29 +207,9 @@ impl SuiteProfileCache {
         machine_cores: usize,
         build_threads: usize,
     ) -> Arc<StaticSuiteProfile> {
-        let slot = {
-            let mut inner = self.inner.lock().expect("suite profile cache poisoned");
-            match inner.get(&machine_cores) {
-                Some(slot) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    slot.clone()
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    let slot = Arc::new(OnceLock::new());
-                    inner.insert(machine_cores, Arc::clone(&slot));
-                    slot
-                }
-            }
-        };
-        slot.get_or_init(|| {
-            Arc::new(StaticSuiteProfile::build_threaded(
-                suite,
-                machine_cores,
-                build_threads,
-            ))
+        self.0.get_or_compute(machine_cores, || {
+            StaticSuiteProfile::build_threaded(suite, machine_cores, build_threads)
         })
-        .clone()
     }
 
     /// Fallible [`SuiteProfileCache::get_or_build`]: when the fault
@@ -271,19 +235,9 @@ impl SuiteProfileCache {
         Ok(self.get_or_build(suite, machine_cores, build_threads))
     }
 
-    /// Current counters (evictions are always zero: core counts are
-    /// few, so this cache never evicts).
+    /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: 0,
-            entries: self
-                .inner
-                .lock()
-                .expect("suite profile cache poisoned")
-                .len(),
-        }
+        self.0.stats()
     }
 }
 

@@ -1,4 +1,5 @@
-//! A thread-safe memoization cache for unit-run profiles.
+//! Thread-safe memoization: the generic [`MemoCache`] and the
+//! unit-run profile cache built on it.
 //!
 //! [`crate::Executor::run`] starts every accelerated run by profiling one
 //! unit of the workload in the VM. The profile depends only on the
@@ -17,6 +18,8 @@ use crate::profile::SiteSamples;
 use crate::testcase::Testcase;
 use sdc_model::{DetRng, TestcaseId};
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -82,7 +85,7 @@ impl ProfileKey {
     }
 }
 
-/// Point-in-time counters of a [`ProfileCache`].
+/// Point-in-time counters of a [`MemoCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups that found the key present (possibly still computing).
@@ -108,45 +111,156 @@ impl CacheStats {
 }
 
 /// A computation in flight or done; only successes stay in the map.
-type Slot = Arc<OnceLock<Result<Arc<CachedUnitProfile>, ExecError>>>;
+type Slot<V, E> = Arc<OnceLock<Result<Arc<V>, E>>>;
 
-struct Entry {
-    slot: Slot,
+struct Entry<V, E> {
+    slot: Slot<V, E>,
     /// Value of [`Inner::clock`] at the entry's latest lookup.
     last_use: u64,
 }
 
-struct Inner {
-    map: HashMap<ProfileKey, Entry>,
+struct Inner<K, V, E> {
+    map: HashMap<K, Entry<V, E>>,
     /// Lookup counter stamping recency.
     clock: u64,
 }
 
-/// Shared, thread-safe unit-profile memoization with LRU eviction.
+/// Shared, thread-safe memoization of a pure, expensive computation per
+/// key, with optional LRU eviction. Failures are not cached.
 ///
 /// Concurrency model: the map is guarded by a mutex held only for
-/// bookkeeping; the (expensive) profile computation runs outside the lock
-/// inside a per-key `OnceLock`, so two threads asking for the *same* key
-/// compute it once (the second blocks), while different keys compute in
-/// parallel. A hit only restamps its entry; the least recently used
-/// entry is looked for only when a miss finds the cache full.
-pub struct ProfileCache {
-    capacity: usize,
+/// bookkeeping; the computation runs outside the lock inside a per-key
+/// `OnceLock`, so two threads asking for the *same* key compute it once
+/// (the second blocks), while different keys compute in parallel. A hit
+/// only restamps its entry; the least recently used entry is looked for
+/// only when a miss finds a bounded cache full.
+pub struct MemoCache<K, V, E = Infallible> {
+    /// `None` = unbounded.
+    capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    inner: Mutex<Inner>,
+    inner: Mutex<Inner<K, V, E>>,
 }
 
-impl std::fmt::Debug for ProfileCache {
+impl<K, V, E> std::fmt::Debug for MemoCache<K, V, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("ProfileCache")
+        f.debug_struct("MemoCache")
             .field("capacity", &self.capacity)
-            .field("stats", &s)
+            .field("stats", &self.stats())
             .finish()
     }
 }
+
+impl<K, V, E> Default for MemoCache<K, V, E> {
+    /// An unbounded cache.
+    fn default() -> Self {
+        MemoCache::new(None)
+    }
+}
+
+impl<K, V, E> MemoCache<K, V, E> {
+    /// A cache holding at most `capacity` values (`None` = unbounded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is `Some(0)`.
+    pub fn new(capacity: Option<usize>) -> Self {
+        assert_ne!(capacity, Some(0), "zero-capacity memo cache");
+        MemoCache {
+            capacity,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            inner: Mutex::new(Inner {
+                map: HashMap::new(),
+                clock: 0,
+            }),
+        }
+    }
+
+    /// Current counters.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            entries: self.inner.lock().expect("memo cache poisoned").map.len(),
+        }
+    }
+}
+
+impl<K: Eq + Hash + Clone, V, E: Clone> MemoCache<K, V, E> {
+    /// Returns the cached value for `key`, computing it with `compute` on
+    /// first use; an error is handed to every caller waiting on the
+    /// computation and the entry is dropped, so the next read computes
+    /// again.
+    pub fn get_or_try_compute<F>(&self, key: K, compute: F) -> Result<Arc<V>, E>
+    where
+        F: FnOnce() -> Result<V, E>,
+    {
+        let slot: Slot<V, E> = {
+            let mut inner = self.inner.lock().expect("memo cache poisoned");
+            inner.clock += 1;
+            let now = inner.clock;
+            if let Some(entry) = inner.map.get_mut(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                entry.last_use = now;
+                entry.slot.clone()
+            } else {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                if self.capacity.is_some_and(|c| inner.map.len() >= c) {
+                    let oldest = inner
+                        .map
+                        .iter()
+                        .min_by_key(|(_, e)| e.last_use)
+                        .map(|(k, _)| k.clone())
+                        .expect("a full cache has entries");
+                    inner.map.remove(&oldest);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                let slot: Slot<V, E> = Arc::new(OnceLock::new());
+                inner.map.insert(
+                    key.clone(),
+                    Entry {
+                        slot: slot.clone(),
+                        last_use: now,
+                    },
+                );
+                slot
+            }
+        };
+        let out = slot.get_or_init(|| compute().map(Arc::new)).clone();
+        if out.is_err() {
+            let mut inner = self.inner.lock().expect("memo cache poisoned");
+            if inner
+                .map
+                .get(&key)
+                .is_some_and(|e| Arc::ptr_eq(&e.slot, &slot))
+            {
+                inner.map.remove(&key);
+            }
+        }
+        out
+    }
+}
+
+impl<K: Eq + Hash + Clone, V> MemoCache<K, V> {
+    /// [`MemoCache::get_or_try_compute`] for a computation that cannot
+    /// fail.
+    pub fn get_or_compute<F>(&self, key: K, compute: F) -> Arc<V>
+    where
+        F: FnOnce() -> V,
+    {
+        let Ok(value) = self.get_or_try_compute(key, || Ok(compute()));
+        value
+    }
+}
+
+/// Shared unit-profile memoization with LRU eviction: a [`MemoCache`]
+/// keyed by [`ProfileKey`].
+#[derive(Debug)]
+pub struct ProfileCache(MemoCache<ProfileKey, CachedUnitProfile, ExecError>);
 
 impl Default for ProfileCache {
     /// A cache sized for a whole standard suite across several package
@@ -164,17 +278,7 @@ impl ProfileCache {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "zero-capacity profile cache");
-        ProfileCache {
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                clock: 0,
-            }),
-        }
+        ProfileCache(MemoCache::new(Some(capacity)))
     }
 
     /// A fresh default-capacity cache behind an [`Arc`], ready to share
@@ -197,73 +301,12 @@ impl ProfileCache {
         cfg: &ExecConfig,
     ) -> Result<Arc<CachedUnitProfile>, ExecError> {
         let key = ProfileKey::of(tc.id, cores, cfg);
-        self.get_or_try_compute(key, || compute_unit_profile(tc, key, cfg))
-    }
-
-    /// Returns the cached profile for `key`, computing it with `compute`
-    /// on first use; an error is handed to every caller waiting on the
-    /// computation and the entry is dropped.
-    fn get_or_try_compute<F>(
-        &self,
-        key: ProfileKey,
-        compute: F,
-    ) -> Result<Arc<CachedUnitProfile>, ExecError>
-    where
-        F: FnOnce() -> Result<CachedUnitProfile, ExecError>,
-    {
-        let slot: Slot = {
-            let mut inner = self.inner.lock().expect("profile cache poisoned");
-            inner.clock += 1;
-            let now = inner.clock;
-            if let Some(entry) = inner.map.get_mut(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                entry.last_use = now;
-                entry.slot.clone()
-            } else {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if inner.map.len() >= self.capacity {
-                    let oldest = inner
-                        .map
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_use)
-                        .map(|(k, _)| *k)
-                        .expect("a full cache has entries");
-                    inner.map.remove(&oldest);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                let slot: Slot = Arc::new(OnceLock::new());
-                inner.map.insert(
-                    key,
-                    Entry {
-                        slot: slot.clone(),
-                        last_use: now,
-                    },
-                );
-                slot
-            }
-        };
-        let out = slot.get_or_init(|| compute().map(Arc::new)).clone();
-        if out.is_err() {
-            let mut inner = self.inner.lock().expect("profile cache poisoned");
-            if inner
-                .map
-                .get(&key)
-                .is_some_and(|e| Arc::ptr_eq(&e.slot, &slot))
-            {
-                inner.map.remove(&key);
-            }
-        }
-        out
+        self.0.get_or_try_compute(key, || compute_unit_profile(tc, key, cfg))
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.inner.lock().expect("profile cache poisoned").map.len(),
-        }
+        self.0.stats()
     }
 }
 
@@ -278,7 +321,8 @@ mod tests {
         where
             F: FnOnce() -> CachedUnitProfile,
         {
-            self.get_or_try_compute(key, || Ok(compute()))
+            self.0
+                .get_or_try_compute(key, || Ok(compute()))
                 .expect("infallible compute")
         }
     }

@@ -30,7 +30,7 @@ pub mod profile;
 pub mod suite;
 pub mod testcase;
 
-pub use cache::{CacheStats, ProfileCache, ProfileKey};
+pub use cache::{CacheStats, MemoCache, ProfileCache, ProfileKey};
 pub use error::ExecError;
 pub use executor::{ExecConfig, Executor, ProfileFaultHook, TestcaseRun};
 pub use framework::{run_plan, run_plan_cached, try_run_plan_cached, PlanEntry, TestPlan, TestReport};

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md): release build, the benchmark
-# crate's build, the root test suite, and the parallel-determinism
+# crate's build, the root test suite, the unit tests of the campaign,
+# checkpoint, evaluation and cache crates, and the parallel-determinism
 # integration tests. Run from anywhere; exits non-zero on the first
 # failure.
 #
@@ -26,6 +27,9 @@ cargo build --release --manifest-path perfbench/Cargo.toml
 echo "== tier-1: root test suite =="
 cargo test -q
 
+echo "== tier-1: toolchain, fleet, farron and analysis unit tests =="
+cargo test -q --release -p toolchain -p fleet -p farron -p analysis
+
 echo "== tier-1: parallel determinism (threads=1 vs threads=8) =="
 cargo test -q --release --test parallel_determinism
 
@@ -43,8 +47,8 @@ cargo bench -q -p bench --bench softcore_hotpath -- --quick
 echo "== tier-1: campaign executor regression gate (bench --quick) =="
 cargo bench -q -p bench --bench campaign_hotpath -- --quick
 
-echo "== tier-1: clippy (chaos-touched crates) =="
-cargo clippy -q -p toolchain -p fleet -p farron -p analysis -p sdc-repro -- -D warnings -D clippy::perf
+echo "== tier-1: clippy (workspace) =="
+cargo clippy -q --workspace -- -D warnings -D clippy::perf
 
 if [[ "$conform" -eq 1 ]]; then
   echo "== tier-1: conformance gate (quick) =="

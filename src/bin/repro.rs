@@ -23,7 +23,7 @@ use analysis::{
     bitflips, casebook, datatypes, features, observations, precision, reproducibility, temperature,
     AttritionReport,
 };
-use farron::eval::{evaluate, evaluate_chaos, EvalConfig};
+use farron::eval::{evaluate, evaluate_chaos, EvalConfig, EvalRun};
 use fleet::{
     campaign_fingerprint, run_campaign, run_campaign_resumable, CampaignCheckpoint,
     CampaignOutcome, CheckpointStore, FaultPlan, FleetConfig, FleetPopulation, ResumableRun,
@@ -570,10 +570,12 @@ fn table4_and_fig11(lazy: &Lazy, opts: &Opts) {
         ..EvalConfig::default()
     };
     let (rows, attrition) = match &opts.chaos {
-        Some(plan) => {
-            let (rows, attrition) = evaluate_chaos(&cfg, plan, &RetryPolicy::default());
-            (rows, Some(attrition))
-        }
+        Some(plan) => match evaluate_chaos(&cfg, plan, &RetryPolicy::default(), None) {
+            Ok(EvalRun::Completed { rows, attrition }) => (rows, Some(attrition)),
+            other => unreachable!(
+                "invariant violated: a store-less evaluation always completes, got {other:?}"
+            ),
+        },
         None => (evaluate(&cfg), None),
     };
     hr("Figure 11 — one-round regular-testing coverage");
