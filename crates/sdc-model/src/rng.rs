@@ -14,6 +14,9 @@ use rand::{Rng, RngCore, SeedableRng};
 pub struct DetRng {
     seed: u64,
     inner: SmallRng,
+    /// Owed `below(1)` picks (see [`DetRng::skip_forced`]), drawn before
+    /// the stream is next used.
+    forced: u64,
 }
 
 impl DetRng {
@@ -22,6 +25,27 @@ impl DetRng {
         DetRng {
             seed,
             inner: SmallRng::seed_from_u64(seed),
+            forced: 0,
+        }
+    }
+
+    /// The generator, after drawing any owed forced picks.
+    #[inline]
+    fn stream(&mut self) -> &mut SmallRng {
+        if self.forced != 0 {
+            self.draw_forced();
+        }
+        &mut self.inner
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn draw_forced(&mut self) {
+        // `below(1)` accepts a raw draw iff it is at most its zone
+        // `(1 << 63) - 1`, i.e. iff its top bit is clear.
+        let mut left = std::mem::take(&mut self.forced);
+        while left > 0 {
+            left -= u64::from(self.inner.next_u64() >> 63 == 0);
         }
     }
 
@@ -45,7 +69,7 @@ impl DetRng {
 
     /// Draws a uniform `f64` in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        self.stream().gen::<f64>()
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -55,7 +79,7 @@ impl DetRng {
         } else if p >= 1.0 {
             true
         } else {
-            self.inner.gen::<f64>() < p
+            self.stream().gen::<f64>() < p
         }
     }
 
@@ -66,18 +90,52 @@ impl DetRng {
     /// Panics if `n == 0`.
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0)");
-        self.inner.gen_range(0..n)
+        self.stream().gen_range(0..n)
+    }
+
+    /// Fills `out` with uniform integers in `[0, n)`: the values of
+    /// `out.len()` successive [`DetRng::below`] calls, leaving the stream
+    /// where those calls leave it.
+    ///
+    /// Mirrors rand 0.8.5 `gen_range(0..n)` bit for bit: Lemire's widening
+    /// multiply, rejecting a raw draw whose low product word exceeds the
+    /// zone `(n << n.leading_zeros()) - 1`. Rejected draws are compacted
+    /// away by not advancing the write index instead of by a branch, so a
+    /// schedule whose live-core count is a power of two (half the raw
+    /// draws rejected) pays no mispredictions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn fill_below(&mut self, n: u64, out: &mut [u64]) {
+        assert!(n > 0, "fill_below(0)");
+        let zone = (n << n.leading_zeros()).wrapping_sub(1);
+        let rng = self.stream();
+        let mut k = 0;
+        while k < out.len() {
+            let wide = u128::from(rng.next_u64()) * u128::from(n);
+            out[k] = (wide >> 64) as u64;
+            k += usize::from(wide as u64 <= zone);
+        }
+    }
+
+    /// Advances the stream past `count` calls to `below(1)`, the picks of
+    /// a schedule with a single candidate. The raw draws are made when the
+    /// stream is next used, so a stream dropped afterwards (as interleave
+    /// streams are) pays nothing for them.
+    pub fn skip_forced(&mut self, count: u64) {
+        self.forced += count;
     }
 
     /// Uniform `f64` in `[lo, hi)`.
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        self.inner.gen_range(lo..hi)
+        self.stream().gen_range(lo..hi)
     }
 
     /// Standard-normal draw (Box–Muller).
     pub fn normal(&mut self) -> f64 {
-        let u1: f64 = self.inner.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.inner.gen();
+        let u1: f64 = self.stream().gen_range(f64::EPSILON..1.0);
+        let u2: f64 = self.stream().gen();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
@@ -89,7 +147,7 @@ impl DetRng {
     pub fn weighted(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
         assert!(total > 0.0, "weighted() needs a positive total weight");
-        let mut x = self.inner.gen::<f64>() * total;
+        let mut x = self.stream().gen::<f64>() * total;
         for (i, w) in weights.iter().enumerate() {
             x -= w;
             if x < 0.0 {
@@ -141,7 +199,7 @@ impl DetRng {
         let mut k = 0u64;
         let mut p = 1.0;
         loop {
-            p *= self.inner.gen::<f64>();
+            p *= self.stream().gen::<f64>();
             if p <= l {
                 return k;
             }
@@ -176,7 +234,7 @@ impl DetRng {
             let mut k = 0u64;
             let mut prod = 1.0;
             loop {
-                prod *= self.inner.gen::<f64>();
+                prod *= self.stream().gen::<f64>();
                 if prod <= l {
                     break;
                 }
@@ -188,26 +246,26 @@ impl DetRng {
             count += k;
             count.min(n)
         } else {
-            (0..n).filter(|_| self.inner.gen::<f64>() < p).count() as u64
+            (0..n).filter(|_| self.stream().gen::<f64>() < p).count() as u64
         }
     }
 }
 
 impl RngCore for DetRng {
     fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
+        self.stream().next_u32()
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        self.stream().next_u64()
     }
 
     fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
+        self.stream().fill_bytes(dest)
     }
 
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
+        self.stream().try_fill_bytes(dest)
     }
 }
 
@@ -362,6 +420,50 @@ mod tests {
                 // Streams advanced identically.
                 assert_eq!(a.next_u64(), b.next_u64(), "lambda {lambda} seed {seed}");
             }
+        }
+    }
+
+    /// `fill_below` must equal repeated `below` in its values and in the
+    /// stream position it leaves, including at power-of-two bounds (half
+    /// the raw draws rejected) and at the extremes of `u64`.
+    #[test]
+    fn fill_below_matches_repeated_below() {
+        let bounds = [1u64, 2, 3, 16, 24, 48, 64, 1 << 63, u64::MAX];
+        for seed in [1u64, 0x5150] {
+            for n in bounds {
+                for len in [0usize, 1, 257] {
+                    let mut a = DetRng::new(seed);
+                    let mut b = DetRng::new(seed);
+                    let expect: Vec<u64> = (0..len).map(|_| a.below(n)).collect();
+                    let mut got = vec![0; len];
+                    b.fill_below(n, &mut got);
+                    assert_eq!(got, expect, "n {n} len {len} seed {seed}");
+                    assert_eq!(a.next_u64(), b.next_u64(), "n {n} len {len} seed {seed}");
+                }
+            }
+        }
+    }
+
+    /// Skipped forced picks land the stream where `below(1)` calls would,
+    /// whichever method uses it next.
+    #[test]
+    fn skip_forced_matches_below_one() {
+        for count in [0u64, 1, 2, 100] {
+            let mut a = DetRng::new(31);
+            let mut b = DetRng::new(31);
+            for _ in 0..count {
+                assert_eq!(a.below(1), 0);
+            }
+            b.skip_forced(count);
+            assert_eq!(a.below(7), b.below(7), "count {count}");
+            a.skip_forced(3);
+            b.skip_forced(1);
+            b.skip_forced(2);
+            let mut out = [0; 5];
+            b.fill_below(24, &mut out);
+            let expect: Vec<u64> = (0..5).map(|_| a.below(24)).collect();
+            assert_eq!(out.to_vec(), expect, "count {count}");
+            assert_eq!(a.next_u64(), b.next_u64(), "count {count}");
         }
     }
 

@@ -67,6 +67,12 @@ impl Core {
         self.halted
     }
 
+    /// The innermost open loop: its `LoopStart` pc and trips left.
+    #[inline]
+    pub(crate) fn loop_top(&self) -> Option<(usize, u32)> {
+        self.loop_stack.last().copied()
+    }
+
     /// Transaction commit/abort counts for this core.
     pub fn tx_stats(&self) -> (u64, u64) {
         (self.tx.commits, self.tx.aborts)
@@ -227,6 +233,75 @@ impl Core {
         (fused.cost1, fused.cost2)
     }
 
+    /// Executes `n` steps the decoder guarantees are core-local (see
+    /// `DecodedProgram::local_budget`): they touch no memory, hook, event
+    /// log or halt state, so the machine may run them at any point before
+    /// this core's next non-local step. Usage, cycles and energy are added
+    /// one step at a time in program order, as `step_decoded` would (f64
+    /// addition is not associative).
+    pub(crate) fn run_local(
+        &mut self,
+        prog: &DecodedProgram,
+        n: u64,
+        usage: &mut UsageCounters,
+        cycles: &mut u64,
+        energy: &mut f64,
+    ) {
+        for _ in 0..n {
+            let op = prog.op(self.pc).expect("a local step has an op");
+            usage.record(self.id, op.class);
+            self.pc = self.exec_local(op.inst, op.skip_to as usize);
+            *cycles += op.cycles;
+            *energy += op.energy;
+        }
+    }
+
+    /// The core-local instructions: register moves, `Pause`, `CmpNe` and
+    /// loop control. Shared by `exec_inst` and `run_local`; returns the
+    /// next pc.
+    #[inline(always)]
+    fn exec_local(&mut self, inst: Inst, skip_to: usize) -> usize {
+        let mut next_pc = self.pc + 1;
+        match inst {
+            Inst::MovImm { dst, imm } => self.regs.set_int(dst, imm),
+            Inst::Mov { dst, src } => {
+                let v = self.regs.int(src);
+                self.regs.set_int(dst, v);
+            }
+            Inst::AddImm { dst, src, imm } => {
+                let v = self.regs.int(src).wrapping_add(imm);
+                self.regs.set_int(dst, v);
+            }
+            Inst::FMovImm { dst, imm } => self.regs.set_float(dst, imm),
+            Inst::LoopStart { count } => {
+                if count == 0 {
+                    next_pc = skip_to;
+                } else {
+                    self.loop_stack.push((self.pc, count));
+                }
+            }
+            Inst::LoopEnd => {
+                let top = self
+                    .loop_stack
+                    .last_mut()
+                    .expect("LoopEnd without LoopStart (validated programs cannot reach this)");
+                top.1 -= 1;
+                if top.1 > 0 {
+                    next_pc = top.0 + 1;
+                } else {
+                    self.loop_stack.pop();
+                }
+            }
+            Inst::Pause => {}
+            Inst::CmpNe { dst, a, b } => {
+                let v = (self.regs.int(a) != self.regs.int(b)) as u64;
+                self.regs.set_int(dst, v);
+            }
+            other => unreachable!("{other:?} is not core-local"),
+        }
+        next_pc
+    }
+
     /// The predecoded `IntOp` body (mask/width precomputed by the
     /// decoder). Mirrors the `Inst::IntOp` arm of `exec_inst` exactly.
     #[inline]
@@ -267,15 +342,14 @@ impl Core {
     ) {
         let mut next_pc = self.pc + 1;
         match inst {
-            Inst::MovImm { dst, imm } => self.regs.set_int(dst, imm),
-            Inst::Mov { dst, src } => {
-                let v = self.regs.int(src);
-                self.regs.set_int(dst, v);
-            }
-            Inst::AddImm { dst, src, imm } => {
-                let v = self.regs.int(src).wrapping_add(imm);
-                self.regs.set_int(dst, v);
-            }
+            Inst::MovImm { .. }
+            | Inst::Mov { .. }
+            | Inst::AddImm { .. }
+            | Inst::FMovImm { .. }
+            | Inst::LoopStart { .. }
+            | Inst::LoopEnd
+            | Inst::Pause
+            | Inst::CmpNe { .. } => next_pc = self.exec_local(inst, skip_to),
             Inst::IntOp { op, dt, dst, a, b } => {
                 let mask = dt.mask() as u64;
                 let x = self.regs.int(a) & mask;
@@ -295,7 +369,6 @@ impl Core {
                 let out = self.retire(class, dt, raw as u128, hook, events);
                 self.regs.set_int(dst, out as u64);
             }
-            Inst::FMovImm { dst, imm } => self.regs.set_float(dst, imm),
             Inst::FOp {
                 op,
                 prec,
@@ -502,30 +575,6 @@ impl Core {
             Inst::TxCommit { dst } => {
                 let ok = self.tx.commit(self.id, mem, hook);
                 self.regs.set_int(dst, ok as u64);
-            }
-            Inst::LoopStart { count } => {
-                if count == 0 {
-                    next_pc = skip_to;
-                } else {
-                    self.loop_stack.push((self.pc, count));
-                }
-            }
-            Inst::LoopEnd => {
-                let top = self
-                    .loop_stack
-                    .last_mut()
-                    .expect("LoopEnd without LoopStart (validated programs cannot reach this)");
-                top.1 -= 1;
-                if top.1 > 0 {
-                    next_pc = top.0 + 1;
-                } else {
-                    self.loop_stack.pop();
-                }
-            }
-            Inst::Pause => {}
-            Inst::CmpNe { dst, a, b } => {
-                let v = (self.regs.int(a) != self.regs.int(b)) as u64;
-                self.regs.set_int(dst, v);
             }
             Inst::Halt => {
                 self.halted = true;

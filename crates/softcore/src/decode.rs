@@ -10,7 +10,17 @@
 //! * superinstruction marks fusing common adjacent pairs
 //!   (`MovImm`+`IntOp`, `IntOp`+`IntOp`, and the compare-and-branch
 //!   analogue `IntOp`+`LoopEnd`) for the single-live-core execution
-//!   phase.
+//!   phase;
+//! * local-run marks for the contended phase. The core-local ops are
+//!   `MovImm`, `Mov`, `AddImm`, `FMovImm`, `Pause` and `CmpNe`: they
+//!   touch no memory, fault hook, event log or halt state, only the
+//!   core's own registers and pc. Per pc the decoder stores how many steps
+//!   the local straight-line run starting there takes, counting a whole
+//!   loop whose body is entirely local (its trip count is static) as part
+//!   of the run, and it stores the span of every such local loop. From
+//!   these and the core's top loop-stack entry, `local_budget` tells the
+//!   machine how many more steps of a core are guaranteed local, so it
+//!   can defer them.
 //!
 //! The decoded form keeps a strict 1:1 pc mapping with the source
 //! program — fusion is a per-pc mark consulted at dispatch, not a
@@ -76,9 +86,31 @@ pub struct DecodedProgram {
     /// landing pc's own entry.
     fuse_idx: Vec<u32>,
     fused: Vec<FusedOp>,
+    /// Per pc, plus one entry for the off-the-end pc: the steps of the
+    /// local run starting there, a local loop entered at its `LoopStart`
+    /// counting with its static trip count.
+    local_run: Vec<u64>,
+    /// Per pc: the `LoopStart` pc of the local loop whose body or
+    /// `LoopEnd` holds it, `NO_LOOP` outside local loops.
+    local_loop: Vec<u32>,
 }
 
 const NO_FUSE: u32 = u32::MAX;
+const NO_LOOP: u32 = u32::MAX;
+
+/// Whether `inst` is core-local: it reads and writes only the core's
+/// registers and advances its pc by one.
+fn is_local(inst: &Inst) -> bool {
+    matches!(
+        inst,
+        Inst::MovImm { .. }
+            | Inst::Mov { .. }
+            | Inst::AddImm { .. }
+            | Inst::FMovImm { .. }
+            | Inst::Pause
+            | Inst::CmpNe { .. }
+    )
+}
 
 fn alu_of(inst: &Inst) -> Option<AluOp> {
     if let Inst::IntOp { op, dt, dst, a, b } = *inst {
@@ -158,10 +190,59 @@ impl DecodedProgram {
                 });
             }
         }
+        // Local runs, computed backwards so each pc can extend the run
+        // after it. A loop is local when its body is all local ops; its
+        // steps from `LoopStart` are the `LoopStart` itself plus `count`
+        // iterations of body and `LoopEnd` (a zero count skips past the
+        // `LoopEnd` in one step).
+        let mut local_run = vec![0u64; insts.len() + 1];
+        let mut local_loop = vec![NO_LOOP; insts.len()];
+        for pc in (0..insts.len()).rev() {
+            local_run[pc] = match insts[pc] {
+                inst if is_local(&inst) => local_run[pc + 1].saturating_add(1),
+                Inst::LoopStart { count } => {
+                    let end = program.loop_end_of(pc);
+                    if insts[pc + 1..end].iter().all(is_local) {
+                        local_loop[pc + 1..=end].fill(pc as u32);
+                        let iteration = (end - pc) as u64;
+                        let own = 1 + u64::from(count).saturating_mul(iteration);
+                        own.saturating_add(local_run[end + 1])
+                    } else {
+                        0
+                    }
+                }
+                _ => 0,
+            };
+        }
         DecodedProgram {
             ops,
             fuse_idx,
             fused,
+            local_run,
+            local_loop,
+        }
+    }
+
+    /// How many more steps of a core at `pc` are guaranteed local, given
+    /// the core's top loop-stack entry `(LoopStart pc, trips left)`.
+    ///
+    /// Inside a local loop the count runs to the end of the current
+    /// iteration, through the trips left, and on along the local run
+    /// after the loop. Anywhere else it is the static local run at `pc`,
+    /// which stops before any `LoopEnd` it cannot see the count of. Zero
+    /// means the next step may touch shared state or halt.
+    pub(crate) fn local_budget(&self, pc: usize, top: Option<(usize, u32)>) -> u64 {
+        match (self.local_loop.get(pc), top) {
+            (Some(&start), Some((top_start, left))) if start as usize == top_start => {
+                let end = self.ops[top_start].skip_to as usize - 1;
+                let iteration = (end - top_start) as u64;
+                let rest_of_trip = (end + 1 - pc) as u64;
+                u64::from(left - 1)
+                    .saturating_mul(iteration)
+                    .saturating_add(rest_of_trip)
+                    .saturating_add(self.local_run[end + 1])
+            }
+            _ => self.local_run.get(pc).copied().unwrap_or(0),
         }
     }
 
@@ -242,6 +323,44 @@ mod tests {
         assert!(d.fused_at(1).is_some(), "IntOp+IntOp fuses");
         assert!(d.fused_at(2).is_none(), "IntOp+FMovImm does not fuse");
         assert_eq!(d.fused_pairs(), 2);
+    }
+
+    #[test]
+    fn local_runs_count_whole_local_loops() {
+        let mut b = ProgramBuilder::new();
+        b.mov_imm(0, 1); // pc 0
+        b.loop_start(3); // pc 1: local loop, 1 + 3 * 3 steps
+        b.pause(); // pc 2
+        b.cmp_ne(1, 0, 0); // pc 3
+        b.loop_end(); // pc 4
+        b.fmov_imm(0, 1.0); // pc 5
+        b.load(2, 0, 0); // pc 6: touches memory
+        b.loop_start(0); // pc 7: zero-count local loop, one step
+        b.pause(); // pc 8
+        b.loop_end(); // pc 9
+        b.loop_start(2); // pc 10: not local (the body stores)
+        b.store(0, 0, 0); // pc 11
+        b.loop_end(); // pc 12
+        let prog = b.build();
+        let d = DecodedProgram::decode(&prog);
+        assert_eq!(d.local_budget(0, None), 1 + 10 + 1);
+        assert_eq!(d.local_budget(1, None), 10 + 1);
+        assert_eq!(d.local_budget(5, None), 1);
+        assert_eq!(d.local_budget(6, None), 0, "a load is not local");
+        assert_eq!(d.local_budget(7, None), 1);
+        assert_eq!(
+            d.local_budget(10, None),
+            0,
+            "a loop with a store is not local"
+        );
+        assert_eq!(d.local_budget(13, None), 0, "running off the end halts");
+        // Inside the local loop on its second trip (two left): the rest
+        // of this trip, one more trip, then the `FMovImm`.
+        assert_eq!(d.local_budget(3, Some((1, 2))), 2 + 3 + 1);
+        assert_eq!(d.local_budget(4, Some((1, 1))), 1 + 1);
+        // A `LoopEnd` whose loop is not on top of the stack is not counted.
+        assert_eq!(d.local_budget(4, None), 0);
+        assert_eq!(d.local_budget(12, Some((10, 1))), 0);
     }
 
     #[test]

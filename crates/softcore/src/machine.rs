@@ -101,20 +101,33 @@ impl Machine {
     /// under `rng`). Flushes caches on completion so raw memory reads see
     /// final state.
     ///
-    /// Execution uses the predecoded fast path and is bit-identical to
-    /// [`Machine::run_reference`] in every observable product: hook call
-    /// sequence, corruption events, usage counters, cycles, energy,
-    /// memory, and the returned outcome. The only non-contractual
-    /// difference is the `rng` stream position afterwards — with a single
-    /// live core the schedule is forced, so the fast path consumes no
-    /// interleave draws (forks are seed-derived and unaffected).
+    /// Bit-identical to [`Machine::run_reference`] in every observable
+    /// product (hook call sequence, corruption events, usage counters,
+    /// cycles, energy, memory, the returned outcome) and in the position
+    /// of `rng` afterwards, which is exact. It runs in three phases:
+    ///
+    /// 1. **Contended** (more than one live core): the picks are the
+    ///    reference's `below(live)` draws, made in batches by
+    ///    [`DetRng::fill_below`]. A pick of a core whose next step the
+    ///    decoder guarantees is core-local is only counted; the pending
+    ///    steps run in one `Core::run_local` before that core's next
+    ///    non-local step, which is the only kind that touches memory, the
+    ///    hook, the event log or the halt state. When a core halts
+    ///    mid-batch the stream is rewound and re-advanced by exactly the
+    ///    picks used.
+    /// 2. **Single live core** (the whole run for golden/profiling
+    ///    workloads): the schedule is forced, so fused pairs run
+    ///    straight-line and the reference's `below(1)` draws are owed to
+    ///    the stream ([`DetRng::skip_forced`]) rather than made.
+    /// 3. **Flush**: pending local steps run whenever the contended phase
+    ///    ends, including when the step budget runs out inside it; caches
+    ///    are then written back.
     pub fn run<H: FaultHook + ?Sized>(
         &mut self,
         hook: &mut H,
         rng: &mut DetRng,
         max_steps: u64,
     ) -> RunOutcome {
-        let mut steps = 0u64;
         let mut live: Vec<usize> = (0..self.cores.len())
             .filter(|&i| self.programs[i].is_some())
             .collect();
@@ -127,38 +140,22 @@ impl Machine {
         }
         live.retain(|&i| !self.cores[i].halted());
 
-        // Contended phase: more than one live core, so each step draws a
-        // scheduling pick exactly as the reference interpreter does.
-        while live.len() > 1 && steps < max_steps {
-            let pick = rng.below(live.len() as u64) as usize;
-            let core_idx = live[pick];
-            let prog = self.decoded[core_idx].as_ref().expect("loaded");
-            let cost = self.cores[core_idx].step_decoded(
-                prog,
-                &mut self.mem,
-                hook,
-                &mut self.usage,
-                &mut self.events,
-            );
-            self.cycles[core_idx] += cost.cycles;
-            self.energy[core_idx] += cost.energy;
-            steps += 1;
-            if self.cores[core_idx].halted() {
-                live.swap_remove(pick);
-            }
+        let mut steps = 0;
+        if live.len() > 1 {
+            steps = self.run_contended(hook, rng, max_steps, &mut live);
         }
 
-        // Single-live-core phase (the whole run for golden/profiling
-        // workloads): the schedule is forced, so no draws, and fused
-        // pairs execute straight-line when the step budget allows both
-        // micro-ops. Costs accumulate per micro-op in original order —
-        // f64 addition is not associative, so the energy sums must not
-        // be folded.
+        // Single-live-core phase: the schedule is forced, so its draws are
+        // owed rather than made, and fused pairs execute straight-line
+        // when the step budget allows both micro-ops. Costs
+        // accumulate per micro-op in original order — f64 addition is not
+        // associative, so the energy sums must not be folded.
         if let [core_idx] = live[..] {
             let prog = self.decoded[core_idx].as_ref().expect("loaded");
             let core = &mut self.cores[core_idx];
             let cycles = &mut self.cycles[core_idx];
             let energy = &mut self.energy[core_idx];
+            let forced_from = steps;
             while !core.halted && steps < max_steps {
                 if steps + 2 <= max_steps {
                     if let Some(fused) = prog.fused_at(core.pc) {
@@ -178,6 +175,7 @@ impl Machine {
                 *energy += cost.energy;
                 steps += 1;
             }
+            rng.skip_forced(steps - forced_from);
             if core.halted {
                 live.clear();
             }
@@ -189,6 +187,76 @@ impl Machine {
             steps,
             cycles: self.cycles.iter().copied().max().unwrap_or(0),
         }
+    }
+
+    /// The contended phase of [`Machine::run`]: steps until at most one
+    /// core is live or `max_steps` picks are made, removing halted cores
+    /// from `live` as the reference does, and returns the picks made.
+    /// Every deferred local step has run when it returns.
+    fn run_contended<H: FaultHook + ?Sized>(
+        &mut self,
+        hook: &mut H,
+        rng: &mut DetRng,
+        max_steps: u64,
+        live: &mut Vec<usize>,
+    ) -> u64 {
+        /// Picks drawn per batch.
+        const BATCH: usize = 256;
+        let cores = self.cores.len();
+        // Per core: picks counted but not yet run, and how many more of
+        // its steps are guaranteed local.
+        let mut pending = vec![0u64; cores];
+        let mut local = vec![0u64; cores];
+        for &c in live.iter() {
+            let prog = self.decoded[c].as_ref().expect("loaded");
+            local[c] = prog.local_budget(self.cores[c].pc, self.cores[c].loop_top());
+        }
+        let mut picks = [0u64; BATCH];
+        let mut steps = 0u64;
+        while live.len() > 1 && steps < max_steps {
+            let n = live.len() as u64;
+            let batch = (max_steps - steps).min(BATCH as u64) as usize;
+            let snapshot = rng.clone();
+            rng.fill_below(n, &mut picks[..batch]);
+            let mut used = 0;
+            while used < batch {
+                let pick = picks[used] as usize;
+                used += 1;
+                let c = live[pick];
+                if local[c] > 0 {
+                    local[c] -= 1;
+                    pending[c] += 1;
+                    continue;
+                }
+                let prog = self.decoded[c].as_ref().expect("loaded");
+                let core = &mut self.cores[c];
+                let (cycles, energy) = (&mut self.cycles[c], &mut self.energy[c]);
+                core.run_local(prog, pending[c], &mut self.usage, cycles, energy);
+                pending[c] = 0;
+                let cost =
+                    core.step_decoded(prog, &mut self.mem, hook, &mut self.usage, &mut self.events);
+                *cycles += cost.cycles;
+                *energy += cost.energy;
+                if core.halted {
+                    live.swap_remove(pick);
+                    break;
+                }
+                local[c] = prog.local_budget(core.pc, core.loop_top());
+            }
+            steps += used as u64;
+            if used < batch {
+                // The live set changed: the rest of the batch was drawn
+                // for the old count, so draw only the picks used.
+                *rng = snapshot;
+                rng.fill_below(n, &mut picks[..used]);
+            }
+        }
+        for &c in live.iter() {
+            let prog = self.decoded[c].as_ref().expect("loaded");
+            let (cycles, energy) = (&mut self.cycles[c], &mut self.energy[c]);
+            self.cores[c].run_local(prog, pending[c], &mut self.usage, cycles, energy);
+        }
+        steps
     }
 
     /// The seed interpreter loop, kept verbatim: un-predecoded dispatch

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md): release build, the benchmark
-# crate's build, the root test suite, the unit tests of the campaign,
-# checkpoint, evaluation and cache crates, and the parallel-determinism
-# integration tests. Run from anywhere; exits non-zero on the first
+# crate's build, the root test suite, the unit tests of the VM, RNG,
+# campaign, checkpoint, evaluation and cache crates, and the
+# parallel-determinism integration tests. Run from anywhere; exits non-zero on the first
 # failure.
 #
 #   --conform   additionally run the quick conformance gate
@@ -27,8 +27,8 @@ cargo build --release --manifest-path perfbench/Cargo.toml
 echo "== tier-1: root test suite =="
 cargo test -q
 
-echo "== tier-1: toolchain, fleet, farron and analysis unit tests =="
-cargo test -q --release -p toolchain -p fleet -p farron -p analysis
+echo "== tier-1: softcore, sdc-model, toolchain, fleet, farron and analysis unit tests =="
+cargo test -q --release -p softcore -p sdc-model -p toolchain -p fleet -p farron -p analysis
 
 echo "== tier-1: parallel determinism (threads=1 vs threads=8) =="
 cargo test -q --release --test parallel_determinism
