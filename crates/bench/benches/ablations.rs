@@ -1,23 +1,25 @@
-//! Ablations of Farron's design choices (DESIGN.md §ablations).
+//! Ablations of Farron's design choices.
 //!
-//! Each ablation disables one mechanism and reports its effect once
-//! (coverage or capacity deltas), while Criterion measures the runtime of
-//! the ablated round:
+//! Each ablation disables one mechanism and prints its effect once:
 //!
 //! 1. testcase prioritization on/off;
 //! 2. burn-in preheating on/off (coverage of temperature-gated SDCs);
-//! 3. adaptive vs. fixed temperature boundary (backoff frequency);
-//! 4. fine-grained vs. whole-processor decommission (capacity retained).
+//! 3. adaptive vs. fixed temperature boundary (backoff frequency).
+//!
+//! Fine-grained vs. whole-processor decommission (capacity retained) is
+//! printed by `repro ext` (`farron::capacity_report`).
+//!
+//! ```text
+//! cargo bench -p bench --bench ablations
+//! ```
 
 use analysis::study::{run_case, StudyConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
 use farron::baseline::Baseline;
-use farron::decommission::{decide, DecommissionDecision, ReliablePool};
 use farron::online::{simulate_online, AppProfile, OnlineConfig};
 use farron::priority::PriorityBook;
 use farron::schedule::FarronScheduler;
 use fleet::screening::StaticSuiteProfile;
-use sdc_model::{CpuId, DetRng, Duration, Feature};
+use sdc_model::{DetRng, Duration, Feature};
 use silicon::catalog;
 use toolchain::{framework, ExecConfig, Suite, TestPlan};
 
@@ -47,14 +49,13 @@ fn coverage(
         / known.len().max(1) as f64
 }
 
-fn ablation_prioritization_and_burn_in(c: &mut Criterion) {
-    let suite = Suite::standard();
+fn ablation_prioritization_and_burn_in(suite: &Suite) {
     let case = catalog::by_name("FPU2").expect("catalog");
     let processor = &case.processor;
-    let profiles = StaticSuiteProfile::build(&suite, processor.physical_cores as usize);
+    let profiles = StaticSuiteProfile::build(suite, processor.physical_cores as usize);
     let reference = run_case(
         &case,
-        &suite,
+        suite,
         &profiles,
         &StudyConfig {
             per_testcase: Duration::from_mins(10),
@@ -70,15 +71,15 @@ fn ablation_prioritization_and_burn_in(c: &mut Criterion) {
         book.record_processor_detection(processor.id.0, id);
     }
     let farron_plan =
-        FarronScheduler::default().plan(&suite, &book, processor.id, &[Feature::Fpu], 58.0);
+        FarronScheduler::default().plan(suite, &book, processor.id, &[Feature::Fpu], 58.0);
     // Ablation 1: no prioritization — same total budget spread equally.
-    let equal_plan = TestPlan::equal_allocation(&suite, farron_plan.total_duration());
+    let equal_plan = TestPlan::equal_allocation(suite, farron_plan.total_duration());
     // Ablation 2: prioritization but no burn-in.
-    let cov_full = coverage(processor, &suite, &farron_plan, burn_in(), &known, 10);
-    let cov_no_prio = coverage(processor, &suite, &equal_plan, burn_in(), &known, 11);
+    let cov_full = coverage(processor, suite, &farron_plan, burn_in(), &known, 10);
+    let cov_no_prio = coverage(processor, suite, &equal_plan, burn_in(), &known, 11);
     let cov_no_burn = coverage(
         processor,
-        &suite,
+        suite,
         &farron_plan,
         ExecConfig::default(),
         &known,
@@ -86,8 +87,8 @@ fn ablation_prioritization_and_burn_in(c: &mut Criterion) {
     );
     let cov_baseline = coverage(
         processor,
-        &suite,
-        &Baseline::default().plan(&suite),
+        suite,
+        &Baseline::default().plan(suite),
         ExecConfig::default(),
         &known,
         13,
@@ -95,29 +96,12 @@ fn ablation_prioritization_and_burn_in(c: &mut Criterion) {
     eprintln!(
         "[ablation/FPU2] coverage: full {cov_full:.2}, -prioritization {cov_no_prio:.2}, -burn-in {cov_no_burn:.2}, baseline {cov_baseline:.2}"
     );
-
-    let mut group = c.benchmark_group("ablation");
-    group.sample_size(10);
-    group.bench_function("farron_round_full", |b| {
-        b.iter(|| {
-            let mut rng = DetRng::new(20);
-            framework::run_plan(processor, &suite, &farron_plan, burn_in(), &mut rng)
-        })
-    });
-    group.bench_function("farron_round_no_prioritization", |b| {
-        b.iter(|| {
-            let mut rng = DetRng::new(21);
-            framework::run_plan(processor, &suite, &equal_plan, burn_in(), &mut rng)
-        })
-    });
-    group.finish();
 }
 
-fn ablation_boundary(c: &mut Criterion) {
-    let suite = Suite::standard();
+fn ablation_boundary(suite: &Suite) {
     let mix1 = catalog::by_name("MIX1").expect("catalog").processor;
     let app = AppProfile {
-        testcase: bench::find(&suite, "fpu/f64/fam2"),
+        testcase: bench::find(suite, "fpu/f64/fam2"),
         utilization: 0.4,
         burst_amplitude: 0.25,
         burst_period: Duration::from_secs(120),
@@ -136,67 +120,16 @@ fn ablation_boundary(c: &mut Criterion) {
         ..Default::default()
     };
     let mut rng = DetRng::new(30);
-    let a = simulate_online(&mix1, &suite, &app, &cores, &adaptive, &mut rng);
-    let f = simulate_online(&mix1, &suite, &app, &cores, &fixed, &mut rng);
+    let a = simulate_online(&mix1, suite, &app, &cores, &adaptive, &mut rng);
+    let f = simulate_online(&mix1, suite, &app, &cores, &fixed, &mut rng);
     eprintln!(
         "[ablation/boundary] backoff: adaptive {:.1} s/h vs fixed-50℃ {:.1} s/h (SDCs: {} vs {})",
         a.backoff_secs_per_hour, f.backoff_secs_per_hour, a.sdc_events, f.sdc_events
     );
-
-    let mut group = c.benchmark_group("ablation");
-    group.sample_size(10);
-    group.bench_function("online_adaptive_boundary", |b| {
-        b.iter(|| {
-            let mut rng = DetRng::new(31);
-            simulate_online(
-                &mix1,
-                &suite,
-                &app,
-                &cores,
-                &OnlineConfig {
-                    duration: Duration::from_mins(30),
-                    ..Default::default()
-                },
-                &mut rng,
-            )
-        })
-    });
-    group.finish();
 }
 
-fn ablation_decommission(_c: &mut Criterion) {
-    // Fine-grained vs whole-processor decommission: capacity retained
-    // across the deep-study set (no runtime component worth benching).
-    let mut fine = 0.0;
-    let mut whole = 0.0;
-    let mut total = 0.0;
-    for case in catalog::deep_study_set() {
-        let p = &case.processor;
-        let cores = p.physical_cores as f64;
-        total += cores;
-        match decide(&p.defective_cores()) {
-            DecommissionDecision::MaskCores(masked) => {
-                let mut pool = ReliablePool::new();
-                pool.apply(p.id, &decide(&p.defective_cores()));
-                fine += cores - masked.len() as f64;
-                let _ = pool;
-            }
-            DecommissionDecision::DeprecateProcessor => {}
-        }
-        // The whole-processor policy retains nothing on any faulty CPU.
-        whole += 0.0;
-    }
-    eprintln!(
-        "[ablation/decommission] capacity retained across the 27 faulty CPUs: fine-grained {:.0}% vs whole-processor {:.0}% of {total} cores",
-        fine / total * 100.0,
-        whole / total * 100.0
-    );
-    let _ = CpuId(0);
+fn main() {
+    let suite = Suite::standard();
+    ablation_prioritization_and_burn_in(&suite);
+    ablation_boundary(&suite);
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = ablation_prioritization_and_burn_in, ablation_boundary, ablation_decommission
-}
-criterion_main!(benches);

@@ -9,8 +9,7 @@
 //! * default — measures every stage at the default 1.05M-CPU fleet,
 //!   cross-checks that the fast executor's study is bitwise identical
 //!   to the reference path at 1 and 8 threads, writes
-//!   `BENCH_campaign.json` at the repo root, then runs criterion
-//!   benches for tracking;
+//!   `BENCH_campaign.json` at the repo root;
 //! * `--quick` — tier-1 regression gate: re-measures the single-case
 //!   executor speedup (fast vs reference chunk loop) and fails
 //!   (exit 1) if it regressed more than 20% against the checked-in
@@ -22,7 +21,7 @@
 //! costs are identical on both paths (`ProfileKey` does not include
 //! `reference_executor`; see `tests/executor_equivalence.rs`).
 
-use analysis::study::{run_case_cached, run_deep_study, run_deep_study_with, StudyConfig, StudyData};
+use analysis::study::{run_case_cached, run_deep_study_with, StudyConfig, StudyData};
 use fleet::screening::{StaticSuiteProfile, SuiteProfileCache};
 use fleet::{run_campaign_on, FleetConfig, FleetPopulation};
 use sdc_model::{DataType, Duration};
@@ -236,27 +235,4 @@ fn main() {
         return;
     }
     artifact();
-
-    // Criterion tracking: the per-case executor paths and the analyze
-    // stage, at a short duration that keeps iterations snappy.
-    let mut c = criterion::Criterion::default().sample_size(10);
-    let suite = Suite::standard();
-    let case = catalog::by_name("FPU1").expect("catalog");
-    let profiles = StaticSuiteProfile::build(&suite, case.processor.physical_cores as usize);
-    let cache = Arc::new(ProfileCache::with_capacity(256));
-    let short = |reference: bool| StudyConfig {
-        per_testcase: Duration::from_mins(5),
-        ..execute_cfg(reference, 1)
-    };
-    run_case_cached(&case, &suite, &profiles, &short(false), Some(Arc::clone(&cache)));
-    let mut group = c.benchmark_group("campaign_hotpath");
-    group.bench_function("execute_fast_fpu1", |b| {
-        b.iter(|| run_case_cached(&case, &suite, &profiles, &short(false), Some(Arc::clone(&cache))))
-    });
-    group.bench_function("execute_reference_fpu1", |b| {
-        b.iter(|| run_case_cached(&case, &suite, &profiles, &short(true), Some(Arc::clone(&cache))))
-    });
-    let study = run_deep_study(&StudyConfig::default());
-    group.bench_function("analyze_corpus", |b| b.iter(|| analyze(&study)));
-    group.finish();
 }

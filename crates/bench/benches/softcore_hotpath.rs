@@ -9,7 +9,7 @@
 //!
 //! * default — measures all paths, writes `BENCH_softcore.json` at the
 //!   repo root (instructions/sec plus the fast-path speedups over the
-//!   seed baseline), then runs criterion benches for tracking;
+//!   seed baseline);
 //! * `--quick` — regression gate for tier-1: re-measures the golden and
 //!   contended fast paths and their reference baselines, and fails
 //!   (exit 1) if either speedup regressed more than 20% against the
@@ -246,35 +246,4 @@ fn main() {
         return;
     }
     artifact();
-    let mut c = criterion::Criterion::default().sample_size(20);
-    let mut group = c.benchmark_group("softcore_hotpath");
-    let program = hot_program(10_000);
-    let steps = program.estimated_steps();
-    group.throughput(criterion::Throughput::Elements(steps));
-    for (name, path) in [
-        ("golden_fast", Path::Golden),
-        ("reference", Path::Reference),
-        ("injected", Path::Injected),
-    ] {
-        let proc_ = defective_processor();
-        let mut machine = Machine::new(1, 4096);
-        machine.load(0, program.clone());
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                machine.restart();
-                let mut rng = DetRng::new(1);
-                match path {
-                    Path::Golden => machine.run(&mut NoFaults, &mut rng, u64::MAX),
-                    Path::Reference => machine.run_reference(&mut NoFaults, &mut rng, u64::MAX),
-                    Path::Injected => {
-                        let mut injector =
-                            Injector::new(&proc_, vec![0], 45.0, DetRng::new(0x1f));
-                        injector.set_temps(&[62.0]);
-                        machine.run(&mut injector, &mut rng, u64::MAX)
-                    }
-                }
-            })
-        });
-    }
-    group.finish();
 }

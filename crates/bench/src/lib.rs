@@ -1,19 +1,14 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the bench targets.
 //!
-//! The benches regenerate the paper's tables and figures at reduced scale
-//! while Criterion measures the cost of each pipeline stage; the full-
-//! fidelity regeneration lives in the `repro` binary. The `ablations`
-//! bench additionally reports the effect of disabling each Farron design
-//! choice (see DESIGN.md's ablation list).
+//! `softcore_hotpath` and `campaign_hotpath` write `BENCH_softcore.json`
+//! and `BENCH_campaign.json` and, with `--quick`, gate their speedup
+//! ratios against those artifacts; `ablations` prints the effect of
+//! disabling each Farron design choice. Cold, per-layer timings of the
+//! paper's pipeline come from `perfbench/`; the regenerated tables and
+//! figures come from the `repro` binary.
 
-use sdc_model::{DetRng, Duration, TestcaseId};
-use silicon::Processor;
-use toolchain::{ExecConfig, Executor, Suite, TestcaseRun};
-
-/// A standard suite shared by benches.
-pub fn suite() -> Suite {
-    Suite::standard()
-}
+use sdc_model::TestcaseId;
+use toolchain::Suite;
 
 /// Finds a testcase id by name prefix.
 ///
@@ -27,51 +22,4 @@ pub fn find(suite: &Suite, prefix: &str) -> TestcaseId {
         .find(|t| t.name.starts_with(prefix))
         .unwrap_or_else(|| panic!("no testcase with prefix {prefix}"))
         .id
-}
-
-/// Finds a testcase by prefix that `processor`'s defects actually apply
-/// to (§4.1 selectivity).
-///
-/// # Panics
-///
-/// Panics if no applicable testcase matches.
-pub fn find_applicable(suite: &Suite, prefix: &str, processor: &Processor) -> TestcaseId {
-    suite
-        .testcases()
-        .iter()
-        .filter(|t| t.name.starts_with(prefix))
-        .find(|t| processor.defects.iter().any(|d| d.applies_to(t.id)))
-        .unwrap_or_else(|| panic!("no applicable testcase with prefix {prefix}"))
-        .id
-}
-
-/// One accelerated testcase run with default settings.
-pub fn run_once(
-    processor: &Processor,
-    suite: &Suite,
-    prefix: &str,
-    cores: &[u16],
-    duration: Duration,
-    seed: u64,
-) -> TestcaseRun {
-    let tc = suite.get(find(suite, prefix));
-    let mut ex = Executor::new(processor, ExecConfig::default());
-    let mut rng = DetRng::new(seed);
-    ex.run(tc, cores, duration, &mut rng)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use silicon::catalog;
-
-    #[test]
-    fn helpers_work() {
-        let s = suite();
-        let simd1 = catalog::by_name("SIMD1").unwrap().processor;
-        let tc_id = find_applicable(&s, "vec/matk/l0", &simd1);
-        let tc_name = &s.get(tc_id).name;
-        let run = run_once(&simd1, &s, tc_name, &[0], Duration::from_mins(2), 1);
-        assert!(run.detected());
-    }
 }

@@ -516,6 +516,63 @@ mod tests {
     }
 
     #[test]
+    fn store_does_not_change_campaign_results() {
+        // Snapshot writes, every completion or every 64, never perturb a
+        // storm's results.
+        let plan = FaultPlan {
+            seed: 7,
+            offline: 0.05,
+            crash: 0.02,
+            preempt: 0.10,
+            read_error: 0.04,
+            timeout: 0.02,
+        };
+        let suite = Suite::standard();
+        let dir =
+            std::env::temp_dir().join(format!("sdc-campaign-ck-store-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for threads in [1, 2] {
+            let cfg = FleetConfig {
+                total_cpus: 400_000,
+                seed: 2021,
+                threads,
+            };
+            let pop = FleetPopulation::sample(&cfg);
+            assert!(pop.defective.len() > 64, "every = 64 must also write mid-run");
+            let run = |store: Option<&CheckpointStore>| {
+                match run_campaign_resumable(
+                    &cfg,
+                    &suite,
+                    &pop,
+                    &plan,
+                    &RetryPolicy::default(),
+                    store,
+                    None,
+                ) {
+                    Ok(ResumableRun::Completed(run)) => run,
+                    other => panic!("expected a completed campaign, got {other:?}"),
+                }
+            };
+            let bare = run(None);
+            assert!(bare.attrition.total_faults() > 0, "storm must interrupt something");
+            for every in [1, 64] {
+                let store =
+                    CheckpointStore::new(dir.join(format!("t{threads}-e{every}.json")), every);
+                let stored = run(Some(&store));
+                assert_eq!(stored.outcome.fates, bare.outcome.fates, "threads {threads}, every {every}");
+                assert_eq!(stored.attrition, bare.attrition, "threads {threads}, every {every}");
+                assert_eq!(stored.lost, bare.lost, "threads {threads}, every {every}");
+                // The final snapshot holds every item.
+                let snapshot =
+                    CampaignCheckpoint::load(store.path(), &campaign_fingerprint(&cfg, &plan))
+                        .unwrap();
+                assert_eq!(snapshot.items.len(), pop.defective.len());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn unwritable_checkpoint_store_is_a_typed_error_not_a_panic() {
         // Pointing the store at a directory that does not exist makes the
         // first snapshot write fail; the campaign must surface that as

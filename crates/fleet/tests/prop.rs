@@ -1,7 +1,7 @@
 //! Property-based tests for fleet screening and campaigns.
 
 use fleet::screening::{stage_detection_probability, StaticProfile, StaticSuiteProfile};
-use fleet::{FleetConfig, FleetPopulation, Stage, StageSpec};
+use fleet::{FaultPlan, FleetConfig, FleetPopulation, Stage, StageSpec};
 use proptest::prelude::*;
 use sdc_model::Duration;
 use silicon::Processor;
@@ -111,7 +111,7 @@ proptest! {
         plan_seed in any::<u64>(),
         label in any::<u64>(),
     ) {
-        use fleet::{run_slot, FaultPlan, RetryPolicy, SlotError};
+        use fleet::{run_slot, RetryPolicy, SlotError};
         use toolchain::{ExecConfig, Executor};
 
         let mut prng = sdc_model::DetRng::new(label ^ 0xa5a5);
@@ -169,5 +169,54 @@ proptest! {
         prop_assert!(profile.invalidations_per_cycle >= 0.0);
         prop_assert!(profile.tx_conflicts_per_cycle >= 0.0);
         prop_assert_eq!(profile.multithread, tc.threads > 1);
+    }
+}
+
+/// Keys (known and unknown), separators, spaces and values (in range,
+/// out of range, malformed) that the fault-plan fuzzer strings together.
+const PLAN_TOKENS: [&str; 14] = [
+    "offline", "crash", "seed", "gremlins", "=", ",", " ", "nan", "-1", "2.0", "0.5", "1", "7", "",
+];
+
+/// Probabilities in `[0, 1]`, with both bounds drawn often.
+fn probability() -> impl Strategy<Value = f64> {
+    (0u8..4, 0.0f64..1.0).prop_map(|(pick, p)| match pick {
+        0 => 0.0,
+        1 => 1.0,
+        _ => p,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `FaultPlan::parse` answers every token string with `Ok` or `Err`,
+    /// never a panic; an accepted plan holds only probabilities and
+    /// survives its canonical spec.
+    #[test]
+    fn fault_plan_parse_never_panics(
+        spec in prop::collection::vec(prop::sample::select(PLAN_TOKENS.to_vec()), 0..12)
+            .prop_map(|tokens| tokens.concat())
+    ) {
+        if let Ok(plan) = FaultPlan::parse(&spec) {
+            for p in [plan.offline, plan.crash, plan.preempt, plan.read_error, plan.timeout] {
+                prop_assert!((0.0..=1.0).contains(&p), "{spec:?} gave probability {p}");
+            }
+            prop_assert_eq!(FaultPlan::parse(&plan.spec()), Ok(plan));
+        }
+    }
+
+    /// The canonical spec of any valid plan parses back to that plan.
+    #[test]
+    fn fault_plan_spec_round_trips(
+        seed in any::<u64>(),
+        offline in probability(),
+        crash in probability(),
+        preempt in probability(),
+        read_error in probability(),
+        timeout in probability(),
+    ) {
+        let plan = FaultPlan { seed, offline, crash, preempt, read_error, timeout };
+        prop_assert_eq!(FaultPlan::parse(&plan.spec()), Ok(plan));
     }
 }

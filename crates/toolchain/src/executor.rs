@@ -682,6 +682,40 @@ impl<'p> Executor<'p> {
             }
         }
 
+        // Counts the `k` events drawn for `pair` in one chunk and
+        // materializes them (up to the record cap). Record details are
+        // drawn from `rng` right after the pair's Poisson draw, as in the
+        // reference loop.
+        let mut emit =
+            |pair: &ActivePair<'_>, k: u64, temp: f64, at: Duration, rng: &mut DetRng| {
+                if k == 0 {
+                    return;
+                }
+                error_count += k;
+                errors_per_core[pair.idx] += k;
+                match &pair.events {
+                    PairEvents::Comp(sites) => materialize_computation(
+                        sites,
+                        pair.defect,
+                        sampler_samples,
+                        SettingId {
+                            cpu: processor.id,
+                            core: CoreId(pair.pcore),
+                            testcase: tc.id,
+                        },
+                        temp,
+                        at,
+                        k,
+                        self.cfg.max_records,
+                        &mut records,
+                        rng,
+                    ),
+                    PairEvents::Coherence(_) | PairEvents::Tx(_) => {
+                        self.push_consistency(&mut records, k, pair.pcore, tc, temp, at);
+                    }
+                }
+            };
+
         for chunk_i in 0..full_chunks {
             if steady.is_none() {
                 let traj = traj.as_ref().expect("dynamic full chunks have a trajectory");
@@ -706,39 +740,7 @@ impl<'p> Executor<'p> {
                 temp_chunks += 1;
                 for sp in &st.pairs {
                     let k = rng.poisson_with_exp(sp.lambda, sp.exp_neg_lambda);
-                    if k > 0 {
-                        error_count += k;
-                        let pair = &active[sp.active_i];
-                        errors_per_core[pair.idx] += k;
-                        match &pair.events {
-                            PairEvents::Comp(sites) => materialize_computation(
-                                sites,
-                                pair.defect,
-                                sampler_samples,
-                                SettingId {
-                                    cpu: processor.id,
-                                    core: CoreId(pair.pcore),
-                                    testcase: tc.id,
-                                },
-                                sp.temp,
-                                start + elapsed,
-                                k,
-                                self.cfg.max_records,
-                                &mut records,
-                                rng,
-                            ),
-                            PairEvents::Coherence(_) | PairEvents::Tx(_) => {
-                                self.push_consistency(
-                                    &mut records,
-                                    k,
-                                    pair.pcore,
-                                    tc,
-                                    sp.temp,
-                                    start + elapsed,
-                                );
-                            }
-                        }
-                    }
+                    emit(&active[sp.active_i], k, sp.temp, start + elapsed, rng);
                 }
             } else {
                 // Transient chunk: the seed loop's per-chunk arithmetic
@@ -758,38 +760,7 @@ impl<'p> Executor<'p> {
                     }
                     let lambda = pair.events.base_per_sec() * rate * chunk_secs;
                     let k = rng.poisson(lambda);
-                    error_count += k;
-                    errors_per_core[pair.idx] += k;
-                    if k > 0 {
-                        match &pair.events {
-                            PairEvents::Comp(sites) => materialize_computation(
-                                sites,
-                                pair.defect,
-                                sampler_samples,
-                                SettingId {
-                                    cpu: processor.id,
-                                    core: CoreId(pair.pcore),
-                                    testcase: tc.id,
-                                },
-                                temp,
-                                start + elapsed,
-                                k,
-                                self.cfg.max_records,
-                                &mut records,
-                                rng,
-                            ),
-                            PairEvents::Coherence(_) | PairEvents::Tx(_) => {
-                                self.push_consistency(
-                                    &mut records,
-                                    k,
-                                    pair.pcore,
-                                    tc,
-                                    temp,
-                                    start + elapsed,
-                                );
-                            }
-                        }
-                    }
+                    emit(pair, k, temp, start + elapsed, rng);
                 }
             }
             elapsed += chunk;
@@ -818,38 +789,7 @@ impl<'p> Executor<'p> {
                 }
                 let lambda = pair.events.base_per_sec() * rate * dt_secs;
                 let k = rng.poisson(lambda);
-                error_count += k;
-                errors_per_core[pair.idx] += k;
-                if k > 0 {
-                    match &pair.events {
-                        PairEvents::Comp(sites) => materialize_computation(
-                            sites,
-                            pair.defect,
-                            sampler_samples,
-                            SettingId {
-                                cpu: processor.id,
-                                core: CoreId(pair.pcore),
-                                testcase: tc.id,
-                            },
-                            temp,
-                            start + elapsed,
-                            k,
-                            self.cfg.max_records,
-                            &mut records,
-                            rng,
-                        ),
-                        PairEvents::Coherence(_) | PairEvents::Tx(_) => {
-                            self.push_consistency(
-                                &mut records,
-                                k,
-                                pair.pcore,
-                                tc,
-                                temp,
-                                start + elapsed,
-                            );
-                        }
-                    }
-                }
+                emit(pair, k, temp, start + elapsed, rng);
             }
             elapsed += partial;
         }

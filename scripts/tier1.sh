@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md): release build, the benchmark
 # crate's build, the root test suite, the unit tests of the VM, RNG,
-# campaign, checkpoint, evaluation and cache crates, and the
-# parallel-determinism integration tests. Run from anywhere; exits non-zero on the first
-# failure.
+# campaign, checkpoint, evaluation and cache crates, the
+# parallel-determinism integration tests, and the build of every bench
+# target plus the two fast-path gates. Run from anywhere; exits non-zero
+# on the first failure.
 #
 #   --conform   additionally run the quick conformance gate
 #               (`repro conform --quick`, see EXPERIMENTS.md).
@@ -40,6 +41,9 @@ echo "== tier-1: chaos smoke run (--quick --chaos) =="
 ck="$(mktemp -u "${TMPDIR:-/tmp}/tier1-chaos-XXXXXX.json")"
 ./target/release/repro table1 --quick --chaos "offline=0.05,preempt=0.10,seed=7" --checkpoint "$ck"
 rm -f "$ck"
+
+echo "== tier-1: every bench target builds =="
+cargo bench -q --no-run -p bench
 
 echo "== tier-1: softcore fast-path regression gate (bench --quick) =="
 cargo bench -q -p bench --bench softcore_hotpath -- --quick

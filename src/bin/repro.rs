@@ -18,16 +18,16 @@
 //! killed run can continue with `--resume <path>`, bitwise identical to
 //! an uninterrupted run.
 
-use analysis::study::{run_deep_study, StudyConfig, StudyData};
+use analysis::study::{run_deep_study, StudyData};
 use analysis::{
     bitflips, casebook, datatypes, features, observations, precision, reproducibility, temperature,
     AttritionReport,
 };
+use conformance::metrics;
 use farron::eval::{evaluate, evaluate_chaos, EvalConfig, EvalRun};
 use fleet::{
     campaign_fingerprint, run_campaign, run_campaign_resumable, CampaignCheckpoint,
-    CampaignOutcome, CheckpointStore, FaultPlan, FleetConfig, FleetPopulation, ResumableRun,
-    RetryPolicy,
+    CampaignOutcome, CheckpointStore, FaultPlan, FleetPopulation, ResumableRun, RetryPolicy,
 };
 use sdc_model::{DataType, Duration};
 use std::path::PathBuf;
@@ -160,17 +160,7 @@ impl Lazy {
     fn study(&mut self) -> &StudyData {
         if self.study.is_none() {
             eprintln!("[repro] running the 27-processor deep study…");
-            let cfg = StudyConfig {
-                per_testcase: if self.quick {
-                    Duration::from_secs(30)
-                } else {
-                    Duration::from_mins(2)
-                },
-                seed: 27,
-                max_candidates: if self.quick { Some(40) } else { None },
-                threads: self.threads,
-                ..StudyConfig::default()
-            };
+            let cfg = metrics::study_config(self.quick, self.threads);
             self.study = Some(run_deep_study(&cfg));
         }
         self.study
@@ -184,11 +174,7 @@ fn hr(title: &str) {
 }
 
 fn table1_and_2(lazy: &Lazy, opts: &Opts) {
-    let cfg = FleetConfig {
-        total_cpus: if lazy.quick { 200_000 } else { 1_050_000 },
-        seed: 2021,
-        threads: lazy.threads,
-    };
+    let cfg = metrics::campaign_config(lazy.quick, lazy.threads);
     eprintln!(
         "[repro] running the fleet campaign over {} CPUs…",
         cfg.total_cpus
@@ -1053,5 +1039,51 @@ mod tests {
             Parsed::Help
         );
         assert!(usage().contains("--chaos"));
+    }
+
+    /// Flags, artifact names and flag values (well-formed and not) that
+    /// the argv fuzzer strings together.
+    const ARGV_TOKENS: [&str; 20] = [
+        "--quick",
+        "--threads",
+        "--chaos",
+        "--checkpoint",
+        "--resume",
+        "--write-golden",
+        "--help",
+        "-h",
+        "--frobnicate",
+        "-",
+        "all",
+        "table1",
+        "conform",
+        "table9",
+        "4",
+        "-1",
+        "offline=0.05,seed=7",
+        "offline=nan",
+        "ck.json",
+        "",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// `parse_args` answers every argv with `Ok` or `Err`, never a
+        /// panic, and an accepted run names only known artifacts.
+        #[test]
+        fn parse_args_never_panics(
+            argv in proptest::prop::collection::vec(
+                proptest::prop::sample::select(ARGV_TOKENS.to_vec()),
+                0..8,
+            )
+        ) {
+            if let Ok(Parsed::Run(opts)) = parse_args(&args(&argv)) {
+                proptest::prop_assert!(!opts.artifacts.is_empty());
+                for artifact in &opts.artifacts {
+                    proptest::prop_assert!(ARTIFACTS.contains(&artifact.as_str()), "{artifact}");
+                }
+            }
+        }
     }
 }
