@@ -29,7 +29,11 @@ fn crc32_nibble_table() -> [u32; 16] {
     for (n, slot) in table.iter_mut().enumerate() {
         let mut c = n as u32;
         for _ in 0..4 {
-            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
         }
         *slot = c;
     }
@@ -151,7 +155,10 @@ impl RefMachine {
     }
 
     fn word(&self, addr: u64) -> usize {
-        assert!(addr.is_multiple_of(8), "reference: unaligned access at {addr:#x}");
+        assert!(
+            addr.is_multiple_of(8),
+            "reference: unaligned access at {addr:#x}"
+        );
         let idx = (addr / 8) as usize;
         assert!(idx < self.mem.len(), "reference: OOB access at {addr:#x}");
         idx
@@ -234,8 +241,7 @@ impl RefMachine {
             LaneType::F32x8 => {
                 let mut out = [0f32; 8];
                 for (i, slot) in out.iter_mut().enumerate() {
-                    let (xa, xb, xc) =
-                        (self.vec_f32(a, i), self.vec_f32(b, i), self.vec_f32(c, i));
+                    let (xa, xb, xc) = (self.vec_f32(a, i), self.vec_f32(b, i), self.vec_f32(c, i));
                     *slot = match op {
                         VOpKind::Add => xa + xb,
                         VOpKind::Mul => xa * xb,
@@ -250,8 +256,7 @@ impl RefMachine {
             LaneType::F64x4 => {
                 let mut out = [0f64; 4];
                 for (i, slot) in out.iter_mut().enumerate() {
-                    let (xa, xb, xc) =
-                        (self.vec_f64(a, i), self.vec_f64(b, i), self.vec_f64(c, i));
+                    let (xa, xb, xc) = (self.vec_f64(a, i), self.vec_f64(b, i), self.vec_f64(c, i));
                     *slot = match op {
                         VOpKind::Add => xa + xb,
                         VOpKind::Mul => xa * xb,
@@ -368,9 +373,7 @@ impl RefMachine {
             Inst::XFromF { dst, src } => {
                 self.x87[dst as usize] = F80::from_f64(self.float[src as usize])
             }
-            Inst::XToF { dst, src } => {
-                self.float[dst as usize] = self.x87[src as usize].to_f64()
-            }
+            Inst::XToF { dst, src } => self.float[dst as usize] = self.x87[src as usize].to_f64(),
             Inst::XOp { op, dst, a, b } => {
                 let x = self.x87[a as usize];
                 let y = self.x87[b as usize];
@@ -385,7 +388,9 @@ impl RefMachine {
                 // F80 values, so assigning directly is equivalent.
                 self.x87[dst as usize] = r;
             }
-            Inst::XAtan { dst, a } => self.x87[dst as usize] = softfloat::atan(self.x87[a as usize]),
+            Inst::XAtan { dst, a } => {
+                self.x87[dst as usize] = softfloat::atan(self.x87[a as usize])
+            }
             Inst::VOp {
                 op,
                 lane,
@@ -395,10 +400,8 @@ impl RefMachine {
                 c,
             } => self.vop(op, lane, dst, a, b, c),
             Inst::Crc32Step { dst, acc, data } => {
-                self.int[dst as usize] = ref_crc32_step(
-                    self.int[acc as usize] as u32,
-                    self.int[data as usize],
-                ) as u64;
+                self.int[dst as usize] =
+                    ref_crc32_step(self.int[acc as usize] as u32, self.int[data as usize]) as u64;
             }
             Inst::HashMix { dst, acc, data } => {
                 self.int[dst as usize] =
@@ -524,8 +527,7 @@ impl RefMachine {
             }
             Inst::Pause => {}
             Inst::CmpNe { dst, a, b } => {
-                self.int[dst as usize] =
-                    (self.int[a as usize] != self.int[b as usize]) as u64;
+                self.int[dst as usize] = (self.int[a as usize] != self.int[b as usize]) as u64;
             }
             Inst::Halt => unreachable!("run() returns before stepping Halt"),
         }

@@ -231,7 +231,11 @@ fn eval_row(
     for round in 0..cfg.rounds.max(1) {
         let legs = [
             (&farron_plan, burn_in_exec(), cfg.seed + round as u64),
-            (&baseline_plan, ExecConfig::default(), cfg.seed ^ 0xb ^ round as u64),
+            (
+                &baseline_plan,
+                ExecConfig::default(),
+                cfg.seed ^ 0xb ^ round as u64,
+            ),
         ];
         for (leg, (test_plan, exec, seed)) in legs.into_iter().enumerate() {
             let mut rng = DetRng::new(seed).fork_str(name);
@@ -550,7 +554,12 @@ pub fn evaluate_chaos(
     policy: &RetryPolicy,
     store: Option<&CheckpointStore>,
 ) -> Result<EvalRun, CheckpointError> {
-    eval_rows(cfg, RoundMode::Chaos { plan, policy }, store, &EvalCtx::fresh())
+    eval_rows(
+        cfg,
+        RoundMode::Chaos { plan, policy },
+        store,
+        &EvalCtx::fresh(),
+    )
 }
 
 /// The row loop behind both drivers, on a given context; only the rows
@@ -787,7 +796,10 @@ mod tests {
                 EvalRun::Interrupted => panic!("run without a kill hook cannot be interrupted"),
             };
         assert_eq!(full_rows.len(), EVAL_NAMES.len());
-        assert!(full_att.total_faults() > 0, "storm must interrupt something");
+        assert!(
+            full_att.total_faults() > 0,
+            "storm must interrupt something"
+        );
 
         // Kill after two new rows, then resume from the snapshot.
         let mut killer = CheckpointStore::new(dir.join("killed.json"), 1);
@@ -833,10 +845,15 @@ mod tests {
                 ..tiny_cfg()
             };
             let (rows, attrition) = completed(eval_rows(&cfg, mode, None, &ctx));
-            assert!(attrition.total_faults() > 0, "storm must interrupt something");
+            assert!(
+                attrition.total_faults() > 0,
+                "storm must interrupt something"
+            );
             for every in [1, 4] {
-                let store = CheckpointStore::new(dir.join(format!("t{threads}-e{every}.json")), every);
-                let (stored_rows, stored_att) = completed(eval_rows(&cfg, mode, Some(&store), &ctx));
+                let store =
+                    CheckpointStore::new(dir.join(format!("t{threads}-e{every}.json")), every);
+                let (stored_rows, stored_att) =
+                    completed(eval_rows(&cfg, mode, Some(&store), &ctx));
                 assert_eq!(stored_rows, rows, "threads {threads}, every {every}");
                 assert_eq!(stored_att, attrition, "threads {threads}, every {every}");
                 // The final snapshot holds every row.

@@ -37,8 +37,7 @@ pub fn round_label(name: &str, round: u64, stream: u64) -> u64 {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ stream.wrapping_mul(0xff51_afd7_ed55_8ccd)
+    h ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ stream.wrapping_mul(0xff51_afd7_ed55_8ccd)
 }
 
 /// The outcome of one chaos-exposed round.
@@ -334,7 +333,13 @@ mod tests {
         assert_eq!(stormy.attrition.retries, 1);
         assert_eq!(stormy.attrition.total_faults(), 1);
         assert_eq!(stormy.report.runs.len(), quiet.report.runs.len());
-        for (idx, (q, s)) in quiet.report.runs.iter().zip(&stormy.report.runs).enumerate() {
+        for (idx, (q, s)) in quiet
+            .report
+            .runs
+            .iter()
+            .zip(&stormy.report.runs)
+            .enumerate()
+        {
             assert_eq!(q.testcase, s.testcase, "window {idx}");
             assert_eq!(q.error_count, s.error_count, "window {idx}");
             assert_eq!(q.records, s.records, "window {idx}");

@@ -250,7 +250,9 @@ pub fn run_campaign_resumable(
             // Re-fork the fate stream from scratch every attempt:
             // supervision is transparent to a successful slot's result.
             let mut rng = root.fork(label);
-            Ok(processor_fate(processor, suite, &profiles, &pipeline, clock_hz, &mut rng))
+            Ok(processor_fate(
+                processor, suite, &profiles, &pipeline, clock_hz, &mut rng,
+            ))
         });
         ItemRecord::of(i, processor.arch, slot.result, &slot.report)
     })?;
@@ -448,8 +450,7 @@ mod tests {
         };
         let suite = Suite::standard();
         let plain = run_campaign(&cfg, &suite);
-        let supervised =
-            supervised(&cfg, &suite, &FaultPlan::default(), &RetryPolicy::default());
+        let supervised = supervised(&cfg, &suite, &FaultPlan::default(), &RetryPolicy::default());
         assert_eq!(supervised.outcome.fates, plain.fates);
         assert_eq!(supervised.attrition.lost, 0);
         assert_eq!(supervised.attrition.retries, 0);
@@ -473,7 +474,10 @@ mod tests {
         };
         let suite = Suite::standard();
         let run = supervised(&cfg, &suite, &plan, &RetryPolicy::default());
-        assert_eq!(run.attrition.items, run.outcome.fates.len() as u64 + run.lost.len() as u64);
+        assert_eq!(
+            run.attrition.items,
+            run.outcome.fates.len() as u64 + run.lost.len() as u64
+        );
         assert!(run.attrition.total_faults() > 0, "a storm must leave marks");
         assert!(run.attrition.retries > 0);
         assert!(run.attrition.backoff_secs > 0.0);
@@ -538,29 +542,39 @@ mod tests {
                 threads,
             };
             let pop = FleetPopulation::sample(&cfg);
-            assert!(pop.defective.len() > 64, "every = 64 must also write mid-run");
-            let run = |store: Option<&CheckpointStore>| {
-                match run_campaign_resumable(
-                    &cfg,
-                    &suite,
-                    &pop,
-                    &plan,
-                    &RetryPolicy::default(),
-                    store,
-                    None,
-                ) {
-                    Ok(ResumableRun::Completed(run)) => run,
-                    other => panic!("expected a completed campaign, got {other:?}"),
-                }
+            assert!(
+                pop.defective.len() > 64,
+                "every = 64 must also write mid-run"
+            );
+            let run = |store: Option<&CheckpointStore>| match run_campaign_resumable(
+                &cfg,
+                &suite,
+                &pop,
+                &plan,
+                &RetryPolicy::default(),
+                store,
+                None,
+            ) {
+                Ok(ResumableRun::Completed(run)) => run,
+                other => panic!("expected a completed campaign, got {other:?}"),
             };
             let bare = run(None);
-            assert!(bare.attrition.total_faults() > 0, "storm must interrupt something");
+            assert!(
+                bare.attrition.total_faults() > 0,
+                "storm must interrupt something"
+            );
             for every in [1, 64] {
                 let store =
                     CheckpointStore::new(dir.join(format!("t{threads}-e{every}.json")), every);
                 let stored = run(Some(&store));
-                assert_eq!(stored.outcome.fates, bare.outcome.fates, "threads {threads}, every {every}");
-                assert_eq!(stored.attrition, bare.attrition, "threads {threads}, every {every}");
+                assert_eq!(
+                    stored.outcome.fates, bare.outcome.fates,
+                    "threads {threads}, every {every}"
+                );
+                assert_eq!(
+                    stored.attrition, bare.attrition,
+                    "threads {threads}, every {every}"
+                );
                 assert_eq!(stored.lost, bare.lost, "threads {threads}, every {every}");
                 // The final snapshot holds every item.
                 let snapshot =

@@ -17,9 +17,9 @@
 //! [`run_resumable`].
 
 use crate::campaign::Fate;
-use crate::lifecycle::Stage;
-use crate::supervisor::{SlotReport, SlotError};
 use crate::chaos::OpFault;
+use crate::lifecycle::Stage;
+use crate::supervisor::{SlotError, SlotReport};
 use sdc_model::ArchId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -192,14 +192,21 @@ impl std::fmt::Display for CheckpointError {
             ),
             CheckpointError::Corrupt(e) => write!(f, "corrupt checkpoint: {e}"),
             CheckpointError::Version { found, expected } => {
-                write!(f, "checkpoint format v{found}, this build reads v{expected}")
+                write!(
+                    f,
+                    "checkpoint format v{found}, this build reads v{expected}"
+                )
             }
             CheckpointError::Mismatch { found, expected } => write!(
                 f,
                 "checkpoint is for campaign (seed={}, cpus={}, plan={}), \
                  not (seed={}, cpus={}, plan={})",
-                found.seed, found.total_cpus, found.plan,
-                expected.seed, expected.total_cpus, expected.plan
+                found.seed,
+                found.total_cpus,
+                found.plan,
+                expected.seed,
+                expected.total_cpus,
+                expected.plan
             ),
         }
     }
@@ -219,7 +226,10 @@ impl CampaignCheckpoint {
 
     /// Loads and validates a snapshot against the expected fingerprint
     /// ([`load`]).
-    pub fn load(path: &Path, expected: &Fingerprint) -> Result<CampaignCheckpoint, CheckpointError> {
+    pub fn load(
+        path: &Path,
+        expected: &Fingerprint,
+    ) -> Result<CampaignCheckpoint, CheckpointError> {
         load(path, expected)
     }
 }
@@ -486,7 +496,8 @@ mod tests {
         let store = CheckpointStore::new(dir.join("ck.json"), 10);
         let mut ck = CampaignCheckpoint::empty(fp());
         ck.items.push(record(0, Some(Fate::Escaped)));
-        ck.items.push(record(3, Some(Fate::Caught(Stage::Factory, 0))));
+        ck.items
+            .push(record(3, Some(Fate::Caught(Stage::Factory, 0))));
         ck.items.push(record(1, None));
         store.write(&ck).unwrap();
         let back = CampaignCheckpoint::load(store.path(), &fp()).unwrap();

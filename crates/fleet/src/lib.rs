@@ -40,4 +40,6 @@ pub use lifecycle::{Stage, StageSpec};
 pub use parallel::{resolve_threads, run_indexed};
 pub use population::{FleetConfig, FleetPopulation};
 pub use screening::{stage_detection_probability, StaticSuiteProfile, SuiteProfileCache};
-pub use supervisor::{run_slot, Attempt, AttritionStats, RetryPolicy, SlotError, SlotOutcome, SlotReport};
+pub use supervisor::{
+    run_slot, Attempt, AttritionStats, RetryPolicy, SlotError, SlotOutcome, SlotReport,
+};

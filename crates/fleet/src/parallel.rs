@@ -146,7 +146,11 @@ mod tests {
         };
         let serial = run_indexed(&items, 1, work);
         for threads in [2, 3, 8, 16] {
-            assert_eq!(run_indexed(&items, threads, work), serial, "{threads} threads");
+            assert_eq!(
+                run_indexed(&items, threads, work),
+                serial,
+                "{threads} threads"
+            );
         }
     }
 

@@ -351,10 +351,7 @@ mod tests {
         });
         assert_eq!(out.result, None);
         assert_eq!(out.report.attempts, 3);
-        assert_eq!(
-            out.report.lost,
-            Some(SlotError::Fault(OpFault::Preempted))
-        );
+        assert_eq!(out.report.lost, Some(SlotError::Fault(OpFault::Preempted)));
         assert_eq!(out.report.faults_by_kind[OpFault::Preempted.index()], 3);
     }
 

@@ -93,7 +93,10 @@ impl fmt::Display for SdcType {
     }
 }
 
-serde::impl_json_unit_enum!(SdcType { Computation, Consistency });
+serde::impl_json_unit_enum!(SdcType {
+    Computation,
+    Consistency
+});
 
 #[cfg(test)]
 mod tests {

@@ -100,7 +100,10 @@ impl SdcRecord {
     }
 }
 
-serde::impl_json_unit_enum!(FlipDirection { ZeroToOne, OneToZero });
+serde::impl_json_unit_enum!(FlipDirection {
+    ZeroToOne,
+    OneToZero
+});
 serde::impl_json_struct!(SdcRecord {
     setting,
     kind,

@@ -301,7 +301,8 @@ impl ProfileCache {
         cfg: &ExecConfig,
     ) -> Result<Arc<CachedUnitProfile>, ExecError> {
         let key = ProfileKey::of(tc.id, cores, cfg);
-        self.0.get_or_try_compute(key, || compute_unit_profile(tc, key, cfg))
+        self.0
+            .get_or_try_compute(key, || compute_unit_profile(tc, key, cfg))
     }
 
     /// Current counters.
@@ -357,7 +358,9 @@ mod tests {
         cache.get_or_compute(key(2), || dummy_profile(2.0));
         let mut cfg = ExecConfig::default();
         cfg.unit_iters += 1;
-        cache.get_or_compute(ProfileKey::of(TestcaseId(1), 4, &cfg), || dummy_profile(3.0));
+        cache.get_or_compute(ProfileKey::of(TestcaseId(1), 4, &cfg), || {
+            dummy_profile(3.0)
+        });
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 3, 3));
     }

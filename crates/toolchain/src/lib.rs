@@ -33,6 +33,8 @@ pub mod testcase;
 pub use cache::{CacheStats, MemoCache, ProfileCache, ProfileKey};
 pub use error::ExecError;
 pub use executor::{ExecConfig, Executor, ProfileFaultHook, TestcaseRun};
-pub use framework::{run_plan, run_plan_cached, try_run_plan_cached, PlanEntry, TestPlan, TestReport};
+pub use framework::{
+    run_plan, run_plan_cached, try_run_plan_cached, PlanEntry, TestPlan, TestReport,
+};
 pub use suite::Suite;
 pub use testcase::{BuiltTestcase, CheckKind, Invariant, OutputRegion, Testcase, WorkloadKind};

@@ -156,7 +156,10 @@ impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
                 return v;
             }
         }
-        panic!("prop_filter rejected 10000 consecutive draws: {}", self.reason);
+        panic!(
+            "prop_filter rejected 10000 consecutive draws: {}",
+            self.reason
+        );
     }
 }
 

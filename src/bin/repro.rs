@@ -188,22 +188,23 @@ fn table1_and_2(lazy: &Lazy, opts: &Opts) {
     let plan = opts.chaos.unwrap_or_default();
     let policy = RetryPolicy::default();
     let fingerprint = campaign_fingerprint(&cfg, &plan);
-    let resume = opts.resume.as_ref().map(|path| {
-        match CampaignCheckpoint::load(path, &fingerprint) {
-            Ok(ck) => {
-                eprintln!(
-                    "[repro] resuming from {} ({} completed items)",
-                    path.display(),
-                    ck.items.len()
-                );
-                ck
-            }
-            Err(e) => {
-                eprintln!("repro: cannot resume: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
+    let resume =
+        opts.resume
+            .as_ref()
+            .map(|path| match CampaignCheckpoint::load(path, &fingerprint) {
+                Ok(ck) => {
+                    eprintln!(
+                        "[repro] resuming from {} ({} completed items)",
+                        path.display(),
+                        ck.items.len()
+                    );
+                    ck
+                }
+                Err(e) => {
+                    eprintln!("repro: cannot resume: {e}");
+                    std::process::exit(2);
+                }
+            });
     let store = opts
         .checkpoint
         .clone()
@@ -984,7 +985,10 @@ mod tests {
         ]);
         assert!(opts.quick);
         assert_eq!(opts.threads, 4);
-        assert_eq!(opts.artifacts, vec!["table1".to_string(), "fig8".to_string()]);
+        assert_eq!(
+            opts.artifacts,
+            vec!["table1".to_string(), "fig8".to_string()]
+        );
         let plan = opts.chaos.expect("chaos plan");
         assert_eq!(plan.offline, 0.05);
         assert_eq!(plan.preempt, 0.1);

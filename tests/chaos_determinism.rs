@@ -129,13 +129,7 @@ fn kill_and_resume_matches_uninterrupted() {
         // zero new work and still reports the same campaign.
         let full = CampaignCheckpoint::load(&path, &fingerprint).expect("final snapshot");
         assert_eq!(full.items.len(), pop.defective.len());
-        let replayed = completed(run_plain(
-            &cfg(threads),
-            &suite,
-            &pop,
-            None,
-            Some(&full),
-        ));
+        let replayed = completed(run_plain(&cfg(threads), &suite, &pop, None, Some(&full)));
         assert_same(&replayed, &uninterrupted, "resume from a complete snapshot");
     }
     std::fs::remove_dir_all(&dir).ok();
