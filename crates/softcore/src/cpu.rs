@@ -5,7 +5,7 @@
 //! call per retire; callers holding a `&mut dyn FaultHook` still compile
 //! against the same functions with `H = dyn FaultHook`.
 
-use crate::decode::{AluOp, DecodedProgram, FusedKind, FusedOp};
+use crate::decode::{AluOp, DecodedProgram, FusedKind};
 use crate::hooks::{FaultHook, RetireInfo};
 use crate::inst::{FOpKind, Inst, InstClass, IntOpKind, LaneType, Precision, VOpKind, XOpKind};
 use crate::machine::CorruptionEvent;
@@ -18,22 +18,6 @@ use crate::tx::TxState;
 use crate::usage::UsageCounters;
 use sdc_model::DataType;
 use softfloat::{atan as x87_atan, F80};
-
-/// Cost of one executed instruction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepCost {
-    /// Cycles consumed.
-    pub cycles: u64,
-    /// Energy consumed (arbitrary units; feeds the thermal model).
-    pub energy: f64,
-}
-
-impl StepCost {
-    pub(crate) const ZERO: StepCost = StepCost {
-        cycles: 0,
-        energy: 0.0,
-    };
-}
 
 /// One simulated physical core.
 #[derive(Debug, Clone)]
@@ -121,8 +105,8 @@ impl Core {
         }
     }
 
-    /// Executes one instruction. Returns its cost; a halted core returns a
-    /// zero-cost step.
+    /// Executes one instruction, recording its class in `usage`. A halted
+    /// core does nothing.
     pub fn step<H: FaultHook + ?Sized>(
         &mut self,
         prog: &Program,
@@ -130,13 +114,13 @@ impl Core {
         hook: &mut H,
         usage: &mut UsageCounters,
         events: &mut Vec<CorruptionEvent>,
-    ) -> StepCost {
+    ) {
         if self.halted {
-            return StepCost::ZERO;
+            return;
         }
         let Some(&inst) = prog.insts().get(self.pc) else {
             self.halted = true;
-            return StepCost::ZERO;
+            return;
         };
         let class = inst.class();
         usage.record(self.id, class);
@@ -145,14 +129,10 @@ impl Core {
             _ => 0,
         };
         self.exec_inst(inst, class, skip_to, mem, hook, events);
-        StepCost {
-            cycles: class.cycles(),
-            energy: class.energy(),
-        }
     }
 
-    /// `step` against a predecoded program: class, costs and zero-count
-    /// loop skip targets come from the decode pass instead of per-step
+    /// `step` against a predecoded program: class and zero-count loop
+    /// skip targets come from the decode pass instead of per-step
     /// recomputation. Bit-identical to `step` on the same state.
     pub(crate) fn step_decoded<H: FaultHook + ?Sized>(
         &mut self,
@@ -161,37 +141,30 @@ impl Core {
         hook: &mut H,
         usage: &mut UsageCounters,
         events: &mut Vec<CorruptionEvent>,
-    ) -> StepCost {
+    ) {
         if self.halted {
-            return StepCost::ZERO;
+            return;
         }
         let Some(op) = prog.op(self.pc) else {
             self.halted = true;
-            return StepCost::ZERO;
+            return;
         };
         usage.record(self.id, op.class);
         self.exec_inst(op.inst, op.class, op.skip_to as usize, mem, hook, events);
-        StepCost {
-            cycles: op.cycles,
-            energy: op.energy,
-        }
     }
 
     /// Executes a fused instruction pair straight-line, preserving the
-    /// exact per-instruction order of usage recording, retires and cost
-    /// accounting. Only legal for pairs the decoder marked (no memory, no
-    /// control transfer out of the pair other than the trailing
-    /// `LoopEnd`). Returns the two per-instruction costs separately so the
-    /// caller can accumulate energy in the same f64 order as unfused
-    /// execution.
+    /// exact per-instruction order of usage recording and retires. Only
+    /// legal for pairs the decoder marked (no memory, no control transfer
+    /// out of the pair other than the trailing `LoopEnd`).
     pub(crate) fn exec_fused<H: FaultHook + ?Sized>(
         &mut self,
-        fused: &FusedOp,
+        fused: &FusedKind,
         hook: &mut H,
         usage: &mut UsageCounters,
         events: &mut Vec<CorruptionEvent>,
-    ) -> (StepCost, StepCost) {
-        match fused.kind {
+    ) {
+        match *fused {
             FusedKind::MovImmIntOp {
                 imm_dst,
                 imm,
@@ -230,29 +203,17 @@ impl Core {
                 }
             }
         }
-        (fused.cost1, fused.cost2)
     }
 
     /// Executes `n` steps the decoder guarantees are core-local (see
     /// `DecodedProgram::local_budget`): they touch no memory, hook, event
     /// log or halt state, so the machine may run them at any point before
-    /// this core's next non-local step. Usage, cycles and energy are added
-    /// one step at a time in program order, as `step_decoded` would (f64
-    /// addition is not associative).
-    pub(crate) fn run_local(
-        &mut self,
-        prog: &DecodedProgram,
-        n: u64,
-        usage: &mut UsageCounters,
-        cycles: &mut u64,
-        energy: &mut f64,
-    ) {
+    /// this core's next non-local step.
+    pub(crate) fn run_local(&mut self, prog: &DecodedProgram, n: u64, usage: &mut UsageCounters) {
         for _ in 0..n {
             let op = prog.op(self.pc).expect("a local step has an op");
             usage.record(self.id, op.class);
             self.pc = self.exec_local(op.inst, op.skip_to as usize);
-            *cycles += op.cycles;
-            *energy += op.energy;
         }
     }
 
@@ -681,7 +642,7 @@ mod tests {
     use crate::hooks::NoFaults;
     use crate::program::ProgramBuilder;
 
-    fn run_one(prog: &Program) -> (Core, MemSystem) {
+    fn run_one(prog: &Program) -> (Core, UsageCounters) {
         let mut core = Core::new(0);
         let mut mem = MemSystem::new(1, 1 << 16);
         let mut hook = NoFaults;
@@ -693,7 +654,7 @@ mod tests {
             steps += 1;
             assert!(steps < 1_000_000, "runaway program");
         }
-        (core, mem)
+        (core, usage)
     }
 
     #[test]
@@ -935,8 +896,9 @@ mod tests {
             core.step(&prog, &mut mem, &mut hook, &mut usage, &mut events);
         }
         assert!(core.halted());
-        let cost = core.step(&prog, &mut mem, &mut hook, &mut usage, &mut events);
-        assert_eq!(cost.cycles, 0);
+        let before = usage.core_total(0);
+        core.step(&prog, &mut mem, &mut hook, &mut usage, &mut events);
+        assert_eq!(usage.core_total(0), before, "a halted core records nothing");
     }
 
     #[test]
@@ -945,15 +907,7 @@ mod tests {
         b.fmov_imm(0, 1.0);
         b.fop(FOpKind::Add, Precision::F64, 1, 0, 0);
         b.fop(FOpKind::Add, Precision::F64, 1, 1, 0);
-        let prog = b.build();
-        let mut core = Core::new(0);
-        let mut mem = MemSystem::new(1, 4096);
-        let mut hook = NoFaults;
-        let mut usage = UsageCounters::new(1);
-        let mut events = Vec::new();
-        while !core.halted() {
-            core.step(&prog, &mut mem, &mut hook, &mut usage, &mut events);
-        }
+        let (_, usage) = run_one(&b.build());
         assert_eq!(usage.count(0, InstClass::FloatAdd), 2);
         assert!(usage.count(0, InstClass::Control) >= 2);
     }
@@ -970,21 +924,20 @@ mod tests {
         let prog = b.build();
         let decoded = DecodedProgram::decode(&prog);
 
-        let (ref_core, _) = run_one(&prog);
+        let (ref_core, ref_usage) = run_one(&prog);
 
         let mut core = Core::new(0);
         let mut mem = MemSystem::new(1, 1 << 16);
         let mut hook = NoFaults;
         let mut usage = UsageCounters::new(1);
         let mut events = Vec::new();
-        let mut total = StepCost::ZERO;
         while !core.halted() {
-            let c = core.step_decoded(&decoded, &mut mem, &mut hook, &mut usage, &mut events);
-            total.cycles += c.cycles;
-            total.energy += c.energy;
+            core.step_decoded(&decoded, &mut mem, &mut hook, &mut usage, &mut events);
         }
         assert_eq!(core.regs.int(0), ref_core.regs.int(0));
         assert_eq!(core.regs.int(2), ref_core.regs.int(2));
-        assert!(total.cycles > 0);
+        let counts = |u: &UsageCounters| InstClass::ALL.map(|c| u.count(0, c));
+        assert_eq!(counts(&usage), counts(&ref_usage));
+        assert_eq!(usage.count(0, InstClass::IntArith), 100);
     }
 }
