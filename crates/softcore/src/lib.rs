@@ -17,7 +17,8 @@
 //!   transactional region management);
 //! * deterministic random interleaving of cores, instruction-usage counters
 //!   (the equivalent of the paper's Pin-based instrumentation, §4.1), and a
-//!   cycle/energy model that feeds the thermal simulator.
+//!   cycle/energy model, derived from those counters, that feeds the
+//!   thermal simulator.
 //!
 //! Fault injection happens at instruction *retire*: the hook sees the
 //! correct result bits and may replace them, exactly the level at which a
