@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification (see ROADMAP.md): release build, the benchmark
-# crate's build, the root test suite, the unit tests of the VM, RNG,
-# campaign, checkpoint, evaluation and cache crates, the
+# Tier-1 verification (see ROADMAP.md): formatting, release build, the
+# benchmark crate's build, the root test suite, the unit tests of the
+# VM, RNG, campaign, checkpoint, evaluation and cache crates, the
 # parallel-determinism integration tests, and the build of every bench
 # target plus the two fast-path gates. Run from anywhere; exits non-zero
 # on the first failure.
@@ -18,6 +18,9 @@ for arg in "$@"; do
     *) echo "unknown option: $arg" >&2; exit 2 ;;
   esac
 done
+
+echo "== tier-1: formatting (cargo fmt --check) =="
+cargo fmt --all --check
 
 echo "== tier-1: release build =="
 cargo build --release
